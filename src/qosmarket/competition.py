@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import scan_then_refine
+from .duopoly import _check_pair
 from .errors import DomainError, ModelError, NonConvergenceError
 from .qos import QoSKind, QoSModel
 from .valuation import ValuationDistribution
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 _BR_SCAN = 2_001
-_SUPERMOD_GRID = 10_001
 _FD_STEP = 1e-4
 _FD_SLACK = 1e-6
 _VERIFY_TOL = 1e-8
@@ -118,15 +118,6 @@ def marginal_valuations(
         float(dist.quantile(1.0 - l1)),
         float(dist.quantile(max(0.0, 1.0 - l1 - l2))),
     )
-
-
-def _check_pair(lam1: float, lam2: float) -> tuple[float, float]:
-    l1, l2 = float(lam1), float(lam2)
-    if not (math.isfinite(l1) and math.isfinite(l2)):
-        raise DomainError(f"shares must be finite, got ({lam1!r}, {lam2!r})")
-    if l1 < 0.0 or l2 < 0.0 or l1 + l2 > 1.0 + 1e-12:
-        raise DomainError(f"share pair outside the simplex: ({lam1!r}, {lam2!r})")
-    return l1, l2
 
 
 def inverse_demand(
@@ -228,23 +219,24 @@ def supermodularity_check(game: CournotGame) -> SupermodularityReport:
     """Check that both revenue cross-partials are nonpositive on [0, 1/2]^2.
 
     For uniform valuations the condition reduces to
-    ``g(lam2) + lam2 * g'(lam2) >= 0``, checked on a 10,001-point grid
-    over the entrant-share axis (the incumbent share drops out; the
-    reported worst point carries 0 in that slot).  Otherwise the
-    cross-partials of both revenue surfaces are estimated by central
-    finite differences (h = 1e-4) on a 101x101 grid, with a small slack
-    absorbing differencing noise; this needs a non-increasing density.
+    ``g(lam2) + lam2 * g'(lam2) >= 0`` on the entrant-share axis (the
+    incumbent share drops out; the reported worst point carries 0 in that
+    slot).  That margin is linear on each segment of the curve, so it is
+    checked exactly at the segment ends, with each segment's own slope.
+    Otherwise the cross-partials of both revenue surfaces are estimated by
+    central finite differences (h = 1e-4) on a 101x101 grid, with a small
+    slack absorbing differencing noise; this needs a non-increasing density.
     """
-    hi = min(0.5, game.qos2.domain[1])
     if game.dist.is_uniform():
-        lam2 = np.linspace(max(0.0, game.qos2.domain[0]), hi, _SUPERMOD_GRID)
-        m = game.qos2.evaluate(lam2) + lam2 * game.qos2.derivative(lam2)
-        i = int(np.argmin(m))
-        return SupermodularityReport(
-            holds=bool(m[i] >= 0.0),
-            worst_point=(0.0, float(lam2[i])),
-            worst_margin=float(m[i]),
-        )
+        qos = game.qos2
+        hi = min(0.5, qos.domain[1])
+        ends = [
+            (lam, qos.evaluate(lam) + lam * s)
+            for lam0, lam1, _, _, s in qos.segments() if lam0 <= hi
+            for lam in (lam0, min(lam1, hi))
+        ]
+        lam, worst = min(ends, key=lambda e: e[1])  # first of equal margins
+        return SupermodularityReport(holds=worst >= 0.0, worst_point=(0.0, lam), worst_margin=worst)
     if not game.dist.is_nonincreasing_pdf():
         raise ModelError("supermodularity check needs a non-increasing density")
     h = _FD_STEP

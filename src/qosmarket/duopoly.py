@@ -27,7 +27,7 @@ import numpy as np
 
 from ._optim import bisect_root
 from .errors import DomainError, ModelError
-from .monopoly import ConditionReport, DynamicsTrace, _COND_GRID, _EQ_FTOL, _EQ_XTOL
+from .monopoly import ConditionReport, DynamicsTrace, _EQ_FTOL, _EQ_XTOL
 from .qos import QoSModel
 from .valuation import ValuationDistribution
 
@@ -201,19 +201,18 @@ def convergence_condition_duopoly(
     """Sufficient condition for the two-share iteration to contract.
 
     Holds when ``max( (-g'/g) * q1 / (q1 - g) ) < 1 / K`` over the curve's
-    domain (10,001-point grid).  Validates that the entrant curve stays
-    strictly below ``q1`` first.
+    domain.  On each segment the slope is fixed and the ratio is convex in
+    g, so the maximum sits at a segment end.  Validates that the entrant
+    curve stays strictly below ``q1`` first.
     """
     q1 = float(q1)
     if not math.isfinite(q1) or q1 <= 0.0:
         raise ModelError(f"q1 must be positive, got {q1}")
     if qos2.max_value() >= q1:
         raise ModelError("entrant quality must stay strictly below q1")
-    lo, hi = qos2.domain
-    lam = np.linspace(max(lo, 0.0), min(hi, 1.0), _COND_GRID)
-    g = qos2.evaluate(lam)
-    vals = (-qos2.derivative(lam) / g) * (q1 / (q1 - g))
-    lhs = float(np.max(vals))
+    lhs = max(
+        (-s / g) * (q1 / (q1 - g)) for _, _, g0, g1, s in qos2.segments() for g in (g0, g1)
+    )
     rhs = 1.0 / dist.k_constant()
     return ConditionReport(holds=lhs < rhs, lhs=lhs, rhs=rhs)
 

@@ -55,7 +55,6 @@ __all__ = [
 _EQ_FTOL = 1e-12
 _EQ_XTOL = 1e-15
 _BAND_GRID = 10_001
-_COND_GRID = 10_001
 
 
 @dataclass(frozen=True)
@@ -352,12 +351,12 @@ def equilibrium_closed_form(
 
 
 def _decay_ratio_max(qos: QoSModel) -> float:
-    """max over the domain of -g'(lam)/g(lam), on a 10,001-point grid."""
-    lo, hi = qos.domain
-    lo, hi = max(lo, 0.0), min(hi, 1.0)
-    lam = np.linspace(lo, hi, _COND_GRID)
-    vals = -qos.derivative(lam) / qos.evaluate(lam)
-    return float(np.max(vals))
+    """Supremum over the domain of -g'(lam)/g(lam).
+
+    g' is constant on each segment while g falls, so the ratio peaks at
+    each segment's right end, taken with that segment's slope.
+    """
+    return max(-s / g1 for _, _, _, g1, s in qos.segments())
 
 
 def convergence_condition(

@@ -12,14 +12,15 @@ Evaluation methods accept scalars or numpy arrays.
 
 from __future__ import annotations
 
-import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
+from functools import cached_property
 
 import numpy as np
 
+from . import _table
 from .errors import DomainError, FitError, ModelError
 
 __all__ = [
@@ -46,20 +47,27 @@ class QoSModel:
     """Share-dependent quality curve ``g(lam)`` on a subinterval of [0, 1].
 
     Construct with :meth:`constant`, :meth:`linear`, :meth:`tabulated`, or
-    :meth:`from_csv`.  Constant and linear curves are defined on all of
-    [0, 1]; a tabulated curve is defined on the span of its sample points
-    and evaluation outside that span raises DomainError.  Instances are
+    :meth:`from_csv`.  Every curve is a piecewise-linear node table: constant
+    and linear curves are two nodes on [0, 1] with slope exactly ``-c``; a
+    tabulated curve is defined on the span of its sample points and
+    evaluation outside that span raises DomainError.  Instances are
     immutable.
     """
 
     def __init__(self) -> None:
         raise TypeError("use QoSModel.constant / linear / tabulated / from_csv")
 
-    @classmethod
-    def _blank(cls) -> "QoSModel":
-        return object.__new__(cls)
-
     # -- construction ---------------------------------------------------
+
+    @classmethod
+    def _from_nodes(cls, kind, x, q, slope, q_bar=None, c=None) -> "QoSModel":
+        """Instance over node tuples: shares, qualities, slopes."""
+        self = object.__new__(cls)
+        self._kind = kind
+        self._q_bar = q_bar
+        self._c = c
+        self._x, self._q, self._slope = x, q, slope
+        return self
 
     @classmethod
     def constant(cls, q: float) -> "QoSModel":
@@ -67,14 +75,7 @@ class QoSModel:
         q = float(q)
         if not math.isfinite(q) or q <= 0.0:
             raise ModelError(f"constant quality must be positive, got {q}")
-        self = cls._blank()
-        self._kind = QoSKind.CONSTANT
-        self._q_bar = q
-        self._c = 0.0
-        self._x = None
-        self._q = None
-        self._slope = None
-        return self
+        return cls._from_nodes(QoSKind.CONSTANT, (0.0, 1.0), (q, q), (0.0,), q, 0.0)
 
     @classmethod
     def linear(cls, q_bar: float, c: float) -> "QoSModel":
@@ -85,14 +86,7 @@ class QoSModel:
             raise ModelError(f"q_bar must be positive, got {q_bar}")
         if not math.isfinite(c) or c < 0.0 or c >= q_bar:
             raise ModelError(f"need 0 <= c < q_bar, got c={c}, q_bar={q_bar}")
-        self = cls._blank()
-        self._kind = QoSKind.LINEAR
-        self._q_bar = q_bar
-        self._c = c
-        self._x = None
-        self._q = None
-        self._slope = None
-        return self
+        return cls._from_nodes(QoSKind.LINEAR, (0.0, 1.0), (q_bar, q_bar - c), (-c,), q_bar, c)
 
     @classmethod
     def tabulated(cls, lams, qualities) -> "QoSModel":
@@ -117,16 +111,8 @@ class QoSModel:
             raise ModelError("quality samples must be positive")
         if np.any(np.diff(q) > _MONOTONE_SLACK):
             raise ModelError("quality samples must be non-increasing")
-        self = cls._blank()
-        self._kind = QoSKind.TABULATED
-        self._q_bar = None
-        self._c = None
-        self._x = x.copy()
-        self._q = q.copy()
-        self._slope = np.diff(q) / np.diff(x)
-        for arr in (self._x, self._q, self._slope):
-            arr.flags.writeable = False
-        return self
+        slope = np.diff(q) / np.diff(x)
+        return cls._from_nodes(QoSKind.TABULATED, *(tuple(a.tolist()) for a in (x, q, slope)))
 
     @classmethod
     def from_csv(cls, path) -> "QoSModel":
@@ -136,6 +122,10 @@ class QoSModel:
             return cls.tabulated(lams, qualities)
         except ModelError as exc:
             raise ModelError(f"{path}: {exc}") from exc
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return _table.frozen_arrays(self._x, self._q, self._slope)
 
     # -- properties -------------------------------------------------------
 
@@ -160,62 +150,50 @@ class QoSModel:
     @property
     def domain(self) -> tuple[float, float]:
         """Share interval on which the curve is defined."""
-        if self._kind is QoSKind.TABULATED:
-            return float(self._x[0]), float(self._x[-1])
-        return 0.0, 1.0
+        return self._x[0], self._x[-1]
 
     def max_value(self) -> float:
         """Largest quality, attained at the low end of the domain."""
-        return self.evaluate(self.domain[0])
+        return self._q[0]
+
+    def segments(self):
+        """``(lam0, lam1, g0, g1, slope)`` for each linear piece, left to right."""
+        return zip(self._x, self._x[1:], self._q, self._q[1:], self._slope)
 
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, lam):
-        """Quality at share ``lam``; DomainError outside [0,1] or the table span."""
-        scalar = np.ndim(lam) == 0
-        if scalar and self._kind is not QoSKind.TABULATED:
+        """Quality at share ``lam``; DomainError outside the curve's domain."""
+        lo, hi = self._x[0], self._x[-1]
+        if isinstance(lam, float) or np.ndim(lam) == 0:
             v = float(lam)
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"share outside [0, 1]: {lam!r}")
-            return self._q_bar - self._c * v
+            if not lo <= v <= hi:
+                raise DomainError(f"share outside [{lo:g}, {hi:g}]: {lam!r}")
+            return _table.value(self._x, self._q, self._slope, v)
         a = np.asarray(lam, dtype=float)
-        if np.any(~np.isfinite(a)) or np.any(a < 0.0) or np.any(a > 1.0):
-            raise DomainError(f"share outside [0, 1]: {lam!r}")
-        if self._kind is not QoSKind.TABULATED:
-            return self._q_bar - self._c * a
-        if np.any(a < self._x[0]) or np.any(a > self._x[-1]):
-            raise DomainError(
-                f"share outside tabulated span [{self._x[0]:g}, {self._x[-1]:g}]"
-            )
-        out = np.interp(a, self._x, self._q)
-        return float(out) if scalar else out
+        if not (np.all(a >= lo) and np.all(a <= hi)):
+            raise DomainError(f"share outside [{lo:g}, {hi:g}]: {lam!r}")
+        return _table.values(*self._arrays, a)
 
     def derivative(self, lam):
         """Slope of the curve at ``lam``.
 
-        Tabulated curves use the slope of the segment to the right of a
-        sample point, except at the upper end of the span where the last
-        segment's slope applies.
+        At a sample point the slope of the segment to its right applies,
+        except at the upper end of the span where the last segment's slope
+        applies.
         """
-        scalar = np.ndim(lam) == 0
-        if self._kind is QoSKind.CONSTANT:
-            self.evaluate(lam)
-            return 0.0 if scalar else np.zeros(np.shape(lam))
-        if self._kind is QoSKind.LINEAR:
-            self.evaluate(lam)
-            return -self._c if scalar else np.full(np.shape(lam), -self._c)
         self.evaluate(lam)
-        a = np.asarray(lam, dtype=float)
-        i = np.clip(np.searchsorted(self._x, a, side="right") - 1, 0, self._x.size - 2)
-        out = self._slope[i]
-        return float(out) if scalar else out
+        if isinstance(lam, float) or np.ndim(lam) == 0:
+            return self._slope[bisect_right(self._x, float(lam), 1, len(self._slope)) - 1]
+        x, _, slope = self._arrays
+        return slope[_table.indices(x, np.asarray(lam, dtype=float))]
 
     def __repr__(self) -> str:
         if self._kind is QoSKind.CONSTANT:
             return f"QoSModel.constant({self._q_bar!r})"
         if self._kind is QoSKind.LINEAR:
             return f"QoSModel.linear(q_bar={self._q_bar!r}, c={self._c!r})"
-        return f"<QoSModel tabulated nodes={self._x.size} span={self.domain}>"
+        return f"<QoSModel tabulated nodes={len(self._x)} span={self.domain}>"
 
 
 @dataclass(frozen=True)
@@ -314,35 +292,9 @@ def load_qos_samples(path) -> tuple[np.ndarray, np.ndarray]:
 
     Structural problems raise ModelError naming the file and line.
     """
-    path = Path(path)
-    lams: list[float] = []
-    qualities: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["lambda", "qos"]:
-            raise ModelError(f"{path}:1: expected header 'lambda,qos', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ModelError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                lams.append(float(row[0]))
-                qualities.append(float(row[1]))
-            except ValueError as exc:
-                raise ModelError(f"{path}:{lineno}: non-numeric value in {row}") from exc
-    if len(lams) < 2:
-        raise ModelError(f"{path}: need at least two sample rows")
-    return np.asarray(lams), np.asarray(qualities)
+    return _table.read_columns(path, ("lambda", "qos"))
 
 
 def save_qos_samples(path, lams, qualities) -> None:
     """Write ``lambda,qos`` rows; the exact inverse of :func:`load_qos_samples`."""
-    lams = np.asarray(lams, dtype=float)
-    qualities = np.asarray(qualities, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "qos"])
-        for lam, q in zip(lams, qualities):
-            writer.writerow([f"{lam:.12g}", f"{q:.12g}"])
+    _table.write_columns(path, ("lambda", "qos"), lams, qualities)

@@ -13,14 +13,14 @@ of matching shape.
 
 from __future__ import annotations
 
-import csv
 import math
+from bisect import bisect_right
 from enum import Enum
-from pathlib import Path
+from functools import cached_property
 
 import numpy as np
 
-from ._optim import scan_then_refine
+from . import _table
 from .errors import DomainError, ModelError
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
 
 _INTEGRAL_TOL = 1e-9
 _MONOTONE_SLACK = 1e-12
-_K_GRID = 10_001
 
 
 class DistributionKind(Enum):
@@ -44,12 +43,12 @@ class ValuationDistribution:
     """Distribution of user valuations on ``[0, beta]``.
 
     Construct with :meth:`uniform`, :meth:`from_samples`, or
-    :meth:`from_csv`.  Custom densities are piecewise linear between the
-    sample points; the cdf is the exact integral of that interpolant,
-    rescaled so it reaches exactly 1 at ``beta``.  The raw sample integral
-    must already be within 1e-9 of 1.  Density samples must be positive at
-    interior nodes; the two endpoint samples may be zero.  Instances are
-    immutable.
+    :meth:`from_csv`.  Every density is a piecewise-linear node table (a
+    uniform density is two equal nodes at 0 and beta); the cdf is the exact
+    integral of that interpolant, rescaled so it reaches exactly 1 at
+    ``beta``.  The raw sample integral must already be within 1e-9 of 1.
+    Density samples must be positive at interior nodes; the two endpoint
+    samples may be zero.  Instances are immutable.
     """
 
     def __init__(self) -> None:
@@ -60,8 +59,13 @@ class ValuationDistribution:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def _blank(cls) -> "ValuationDistribution":
-        return object.__new__(cls)
+    def _from_nodes(cls, kind, x, f, cum, slope) -> "ValuationDistribution":
+        """Instance over node tuples: positions, densities, cdf, slopes."""
+        self = object.__new__(cls)
+        self._kind = kind
+        self._beta = x[-1]
+        self._x, self._f, self._cum, self._slope = x, f, cum, slope
+        return self
 
     @classmethod
     def uniform(cls, beta: float) -> "ValuationDistribution":
@@ -69,14 +73,8 @@ class ValuationDistribution:
         beta = float(beta)
         if not math.isfinite(beta) or beta <= 0.0:
             raise ModelError(f"beta must be positive and finite, got {beta}")
-        self = cls._blank()
-        self._kind = DistributionKind.UNIFORM
-        self._beta = beta
-        self._x = None
-        self._f = None
-        self._cum = None
-        self._slope = None
-        return self
+        h = 1.0 / beta
+        return cls._from_nodes(DistributionKind.UNIFORM, (0.0, beta), (h, h), (0.0, 1.0), (0.0,))
 
     @classmethod
     def from_samples(cls, alphas, densities) -> "ValuationDistribution":
@@ -108,19 +106,11 @@ class ValuationDistribution:
             raise ModelError(
                 f"density integrates to {total:.12g}, expected 1 within {_INTEGRAL_TOL}"
             )
-        self = cls._blank()
-        self._kind = DistributionKind.CUSTOM
-        self._beta = float(x[-1])
-        self._x = x.copy()
-        self._f = f / total
-        self._cum = np.concatenate(
-            ([0.0], np.cumsum(np.diff(x) * 0.5 * (self._f[:-1] + self._f[1:])))
-        )
-        self._cum[-1] = 1.0
-        self._slope = np.diff(self._f) / np.diff(x)
-        for arr in (self._x, self._f, self._cum, self._slope):
-            arr.flags.writeable = False
-        return self
+        f = f / total
+        cum = np.concatenate(([0.0], np.cumsum(np.diff(x) * 0.5 * (f[:-1] + f[1:]))))
+        cum[-1] = 1.0
+        slope = np.diff(f) / np.diff(x)
+        return cls._from_nodes(DistributionKind.CUSTOM, *(tuple(a.tolist()) for a in (x, f, cum, slope)))
 
     @classmethod
     def from_csv(cls, path) -> "ValuationDistribution":
@@ -130,6 +120,10 @@ class ValuationDistribution:
             return cls.from_samples(alphas, densities)
         except ModelError as exc:
             raise ModelError(f"{path}: {exc}") from exc
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return _table.frozen_arrays(self._x, self._f, self._cum, self._slope)
 
     # -- basic properties -----------------------------------------------
 
@@ -149,38 +143,36 @@ class ValuationDistribution:
 
     def pdf(self, alpha):
         """Density at ``alpha``; zero outside [0, beta]."""
-        if self._kind is DistributionKind.UNIFORM:
-            if np.ndim(alpha) == 0:
-                a = float(alpha)
-                return 1.0 / self._beta if 0.0 <= a <= self._beta else 0.0
-            a = np.asarray(alpha, dtype=float)
-            return np.where((a >= 0.0) & (a <= self._beta), 1.0 / self._beta, 0.0)
+        if isinstance(alpha, float) or np.ndim(alpha) == 0:
+            a = float(alpha)
+            if a < 0.0 or a > self._beta:
+                return 0.0
+            return _table.value(self._x, self._f, self._slope, a)
         a = np.asarray(alpha, dtype=float)
-        out = np.interp(a, self._x, self._f)
-        out = np.where((a < 0.0) | (a > self._beta), 0.0, out)
-        return float(out) if np.ndim(alpha) == 0 else out
+        x, f, _, slope = self._arrays
+        return np.where((a < 0.0) | (a > self._beta), 0.0, _table.values(x, f, slope, a))
 
     def cdf(self, alpha):
-        """Probability that a valuation is at most ``alpha``; clamped to [0, 1]."""
-        if self._kind is DistributionKind.UNIFORM:
-            if np.ndim(alpha) == 0:
-                a = float(alpha)
-                if a <= 0.0:
-                    return 0.0
-                if a >= self._beta:
-                    return 1.0
-                return a / self._beta
-            a = np.asarray(alpha, dtype=float)
-            return np.clip(a / self._beta, 0.0, 1.0)
-        scalar = np.ndim(alpha) == 0
+        """Probability that a valuation is at most ``alpha``; clamped to [0, 1].
+
+        The top of the support maps to exactly 1, where the last segment's
+        quadratic could land a few ulp short.
+        """
+        if isinstance(alpha, float) or np.ndim(alpha) == 0:
+            a = float(alpha)
+            if a <= 0.0:
+                return 0.0
+            if a >= self._beta:
+                return 1.0
+            i = bisect_right(self._x, a, 1, len(self._slope)) - 1  # NaN: last segment
+            d = a - self._x[i]
+            return min(max(self._cum[i] + d * (self._f[i] + 0.5 * self._slope[i] * d), 0.0), 1.0)
         a = np.clip(np.asarray(alpha, dtype=float), 0.0, self._beta)
-        i = np.clip(np.searchsorted(self._x, a, side="right") - 1, 0, self._x.size - 2)
-        d = a - self._x[i]
-        out = np.clip(self._cum[i] + d * (self._f[i] + 0.5 * self._slope[i] * d), 0.0, 1.0)
-        # the last segment's quadratic can land a few ulp under 1 at beta;
-        # snap the top of the support so both kinds agree there exactly
-        out = np.where(a >= self._beta, 1.0, out)
-        return float(out) if scalar else out
+        x, f, cum, slope = self._arrays
+        i = _table.indices(x, a)
+        d = a - x[i]
+        out = np.clip(cum[i] + d * (f[i] + 0.5 * slope[i] * d), 0.0, 1.0)
+        return np.where(a >= self._beta, 1.0, out)
 
     def quantile(self, u):
         """Inverse cdf; by convention quantile(0) = 0 and quantile(1) = beta.
@@ -211,44 +203,35 @@ class ValuationDistribution:
     # -- derived constants ----------------------------------------------
 
     def k_constant(self) -> float:
-        """max of alpha * pdf(alpha) on [0, beta]; exactly 1 for Uniform.
+        """max of alpha * pdf(alpha) on [0, beta]; exactly 1 for uniform.
 
-        Custom densities use a 10,001-point grid scan refined by
-        golden-section search (accurate to ~1e-6, which only gates
-        boolean convergence verdicts).
+        On each segment ``alpha * pdf(alpha)`` is a quadratic, so the
+        maximum sits at a node or at the vertex of a falling segment.
         """
         if self._kind is DistributionKind.UNIFORM:
             return 1.0
-        if self._k_cache is None:
-            _, val = scan_then_refine(
-                lambda a: self.pdf(a) * np.asarray(a, dtype=float),
-                0.0,
-                self._beta,
-                _K_GRID,
-            )
-            self._k_cache = float(val)
-        return self._k_cache
-
-    _k_cache: float | None = None
+        best = max(x * f for x, f in zip(self._x, self._f))
+        for x0, x1, f0, s in zip(self._x, self._x[1:], self._f, self._slope):
+            # (x0 + d) * (f0 + s * d) peaks at d = -b / (2 s), b = f0 + s * x0
+            b = f0 + s * x0
+            if s < 0.0 and 0.0 < -b / (2.0 * s) < x1 - x0:
+                best = max(best, x0 * f0 - b * b / (4.0 * s))
+        return best
 
     def max_density(self) -> float:
         """Largest density value on the support."""
-        if self._kind is DistributionKind.UNIFORM:
-            return 1.0 / self._beta
-        return float(np.max(self._f))
+        return max(self._f)
 
     def is_nonincreasing_pdf(self) -> bool:
         """True when the density never increases across its samples."""
-        if self._kind is DistributionKind.UNIFORM:
-            return True
-        return bool(np.all(np.diff(self._f) <= _MONOTONE_SLACK))
+        return all(f1 - f0 <= _MONOTONE_SLACK for f0, f1 in zip(self._f, self._f[1:]))
 
     def __repr__(self) -> str:
         if self._kind is DistributionKind.UNIFORM:
             return f"ValuationDistribution.uniform(beta={self._beta!r})"
         return (
             f"<ValuationDistribution custom beta={self._beta!r} "
-            f"nodes={self._x.size}>"
+            f"nodes={len(self._x)}>"
         )
 
 
@@ -258,35 +241,9 @@ def load_pdf_samples(path) -> tuple[np.ndarray, np.ndarray]:
     Structural problems (bad header, non-numeric cells, short rows) raise
     ModelError naming the file and 1-based line number.
     """
-    path = Path(path)
-    alphas: list[float] = []
-    densities: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["alpha", "pdf"]:
-            raise ModelError(f"{path}:1: expected header 'alpha,pdf', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ModelError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                alphas.append(float(row[0]))
-                densities.append(float(row[1]))
-            except ValueError as exc:
-                raise ModelError(f"{path}:{lineno}: non-numeric value in {row}") from exc
-    if len(alphas) < 2:
-        raise ModelError(f"{path}: need at least two sample rows")
-    return np.asarray(alphas), np.asarray(densities)
+    return _table.read_columns(path, ("alpha", "pdf"))
 
 
 def save_pdf_samples(path, alphas, densities) -> None:
     """Write ``alpha,pdf`` rows; the exact inverse of :func:`load_pdf_samples`."""
-    alphas = np.asarray(alphas, dtype=float)
-    densities = np.asarray(densities, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["alpha", "pdf"])
-        for a, f in zip(alphas, densities):
-            writer.writerow([f"{a:.12g}", f"{f:.12g}"])
+    _table.write_columns(path, ("alpha", "pdf"), alphas, densities)

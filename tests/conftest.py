@@ -37,5 +37,14 @@ def common_qos() -> qm.QoSModel:
 
 
 @pytest.fixture(scope="session")
+def short_steep_qos() -> qm.QoSModel:
+    """Quality that drops 0.09 over a 3e-5-wide segment near lam = 0.3.
+
+    A 10,001-point grid over [0, 1] steps over that segment.
+    """
+    return qm.QoSModel.tabulated([0.0, 0.30001, 0.30004, 1.0], [1.0, 0.99, 0.9, 0.89])
+
+
+@pytest.fixture(scope="session")
 def scenario_dir() -> Path:
     return SCENARIO_DIR

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qosmarket
 from qosmarket import cli
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -241,6 +245,21 @@ class TestErrorPaths:
         nested = tmp_path / "a" / "b"
         assert cli.main(["fit-qos", QOS_CSV, "--out", str(nested)]) == 0
         assert (nested / "qos_curve_fit-qos.csv").exists()
+
+    @pytest.mark.parametrize("module", ["qosmarket", "qosmarket.cli"])
+    def test_python_dash_m_runs_the_cli(self, module, tmp_path):
+        src = str(Path(qosmarket.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "simulate", str(tmp_path / "nope.json"),
+             "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
 
 
 class TestDeterminism:

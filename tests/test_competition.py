@@ -163,6 +163,13 @@ class TestSupermodularity:
         assert rep.worst_margin == pytest.approx(-0.8, abs=1e-9)
         assert rep.worst_point[1] == pytest.approx(0.5, abs=1e-9)
 
+    def test_short_steep_segment_is_not_missed(self, uniform1, short_steep_qos):
+        rep = qm.supermodularity_check(qm.CournotGame(uniform1, 2.0, short_steep_qos))
+        assert rep.holds is False
+        # g + lam * g' at the steep segment's right end: 0.9 - 0.30004 * 3000
+        assert rep.worst_margin == pytest.approx(-899.22, rel=1e-9)
+        assert rep.worst_point[1] == 0.30004
+
     def test_custom_density_uses_cross_partials(self, triangle):
         game = qm.CournotGame(triangle, 1.0, qm.QoSModel.constant(0.5))
         rep = qm.supermodularity_check(game)

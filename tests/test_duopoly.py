@@ -171,6 +171,12 @@ class TestConvergenceCondition:
         with pytest.raises(qm.ModelError):
             qm.convergence_condition_duopoly(uniform1, 1.0, qm.QoSModel.constant(1.0))
 
+    def test_short_steep_segment_is_not_missed(self, uniform1, short_steep_qos):
+        rep = qm.convergence_condition_duopoly(uniform1, 2.0, short_steep_qos)
+        # worst at g = 0.9, the steep segment's lower end
+        assert rep.lhs == pytest.approx(3000.0 * 2.0 / (0.9 * 1.1), rel=1e-9)
+        assert rep.holds is False
+
     def test_condition_predicts_convergence(self, uniform1):
         qos = qm.QoSModel.linear(1.0, 0.1)
         assert qm.convergence_condition_duopoly(uniform1, 2.0, qos).holds

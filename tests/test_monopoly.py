@@ -246,6 +246,12 @@ class TestConvergenceCondition:
         with pytest.raises(qm.DomainError):
             qm.convergence_condition_positive_ext(uniform1, 1.0, 0.5, 0.2, 0.5)
 
+    def test_short_steep_segment_is_not_missed(self, uniform1, short_steep_qos):
+        # the supremum of -g'/g sits at the right end of the steep segment
+        rep = qm.convergence_condition(uniform1, short_steep_qos)
+        assert rep.lhs == pytest.approx((0.09 / 0.00003) / 0.9, rel=1e-9)
+        assert rep.holds is False
+
 
 class TestSwitchingBand:
     def test_interior_band(self, uniform1):

@@ -50,6 +50,27 @@ class TestEvaluate:
         for lam, v in zip(lams, vals):
             assert v == g.evaluate(float(lam))
 
+    def test_scalar_and_array_agree_bit_for_bit(self, short_steep_qos):
+        rng = np.random.default_rng(3)
+        cases = [
+            (short_steep_qos, [0.0, 0.30001, 0.30004, 1.0]),
+            (qm.QoSModel.tabulated([0.2, 0.35, 0.6], [1.0, 0.95, 0.9]), [0.2, 0.35, 0.6]),
+            (qm.QoSModel.linear(1.633, 0.088), [0.0, 1.0]),
+            (qm.QoSModel.constant(1.687), [0.0, 1.0]),
+        ]
+        for _ in range(20):
+            k = int(rng.integers(2, 30))
+            lams = np.unique(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, k)]))
+            qs = 1.8 - np.cumsum(rng.uniform(0.0, 0.05, lams.size))
+            cases.append((qm.QoSModel.tabulated(lams, qs), lams.tolist()))
+        for g, nodes in cases:
+            lo, hi = g.domain
+            probes = np.concatenate([nodes, [lo, hi], rng.uniform(lo, hi, 200)])
+            scalars = np.array([g.evaluate(float(lam)) for lam in probes])
+            assert scalars.tobytes() == g.evaluate(probes).tobytes()
+            slopes = np.array([g.derivative(float(lam)) for lam in probes])
+            assert slopes.tobytes() == g.derivative(probes).tobytes()
+
     def test_nonincreasing_everywhere(self):
         curves = [
             qm.QoSModel.constant(1.3),

@@ -11,6 +11,17 @@ from qosmarket.valuation import load_pdf_samples, save_pdf_samples
 TOL = 1e-9
 
 
+def random_nonincreasing_samples(rng):
+    """Node positions and densities of a seeded non-increasing density."""
+    beta = float(rng.uniform(0.5, 2.0))
+    knots = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(3, 40))))
+    xs = np.unique(np.concatenate([[0.0, 1.0], knots])) * beta
+    f = np.sort(rng.uniform(0.05, 3.0, xs.size))[::-1].copy()
+    if rng.uniform() < 0.3:
+        f[-1] = 0.0
+    return xs, f / float(np.sum((f[1:] + f[:-1]) * np.diff(xs)) / 2.0)
+
+
 class TestUniform:
     def test_pdf_values(self):
         d = qm.ValuationDistribution.uniform(2.0)
@@ -90,6 +101,35 @@ class TestTriangleDensity:
         assert not d.is_nonincreasing_pdf()
 
 
+class TestKConstantExact:
+    @staticmethod
+    def per_segment_max(d, xs):
+        """max of a * f(a) over each segment's quadratic s a^2 + (f0 - s x0) a,
+        taken at the segment ends and at the vertex clipped into the segment."""
+        f = [d.pdf(float(x)) for x in xs]  # node values come back exactly
+        best = 0.0
+        for x0, x1, f0, f1 in zip(xs, xs[1:], f, f[1:]):
+            s = (f1 - f0) / (x1 - x0)
+            cands = [x0, x1]
+            if s != 0.0:
+                cands.append(min(max(-(f0 - s * x0) / (2.0 * s), x0), x1))
+            best = max(best, max(a * (f0 + s * (a - x0)) for a in cands))
+        return best
+
+    def test_matches_per_segment_closed_form(self):
+        rng = np.random.default_rng(20_120_419)
+        for _ in range(200):
+            xs, f = random_nonincreasing_samples(rng)
+            d = qm.ValuationDistribution.from_samples(xs, f)
+            want = self.per_segment_max(d, xs.tolist())
+            assert d.k_constant() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_vertex_inside_a_segment(self):
+        # f(a) = 2(1 - a) on two nodes: a f(a) peaks at a = 1/2 between them
+        d = qm.ValuationDistribution.from_samples([0.0, 1.0], [2.0, 0.0])
+        assert d.k_constant() == pytest.approx(0.5, rel=1e-15)
+
+
 class TestVectorization:
     def test_pdf_array_matches_scalars(self, triangle, uniform1):
         pts = np.array([-0.2, 0.0, 0.3, 0.7, 1.0, 1.4])
@@ -112,6 +152,22 @@ class TestVectorization:
             vec = d.quantile(us)
             for u, v in zip(us, vec):
                 assert v == pytest.approx(d.quantile(float(u)), abs=1e-12)
+
+    def test_cdf_scalar_and_array_agree_bit_for_bit(self, triangle):
+        rng = np.random.default_rng(5)
+        cases = [(triangle, np.linspace(0.0, 1.0, 101))]
+        for beta in (0.5, 1.0, 3.7):
+            cases.append((qm.ValuationDistribution.uniform(beta), np.array([0.0, beta])))
+        for _ in range(20):
+            xs, f = random_nonincreasing_samples(rng)
+            cases.append((qm.ValuationDistribution.from_samples(xs, f), xs))
+        for d, nodes in cases:
+            probes = np.concatenate(
+                [nodes, [0.0, d.beta, -0.1, d.beta * 1.1], rng.uniform(0.0, d.beta, 200)]
+            )
+            scalars = np.array([d.cdf(float(a)) for a in probes])
+            assert scalars.tobytes() == d.cdf(probes).tobytes()
+            assert math.isnan(d.cdf(math.nan))
 
 
 class TestRoundTrips:
