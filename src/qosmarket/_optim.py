@@ -1,7 +1,9 @@
-"""Deterministic scalar root finding and derivative-free maximization.
+"""Deterministic scalar root finding and maximization.
 
-Every solver in the package funnels through these helpers: fixed
-tolerances, no randomness, ties resolved toward the smaller argument.
+Every solver in the package funnels through :func:`bisect_root` and
+:func:`scan_then_bisect`: fixed tolerances, no randomness, ties resolved
+toward the smaller argument.  The derivative-free :func:`scan_then_refine`
+is the reference for functions without an analytic slope.
 """
 
 from __future__ import annotations
@@ -107,3 +109,23 @@ def scan_then_refine(
     if fi > fx or (fi == fx and xs[i] <= x):
         return float(xs[i]), fi
     return float(x), fx
+
+
+def scan_then_bisect(fn: Callable, slope: Callable[[float], float], lo: float, hi: float, num: int) -> float:
+    """Coarse grid scan, then the root of ``slope`` around the best grid point.
+
+    ``fn`` must accept numpy arrays; ``slope`` is its derivative at a
+    scalar.  Where the slope falls through zero across the two cells around
+    the first grid maximum, :func:`bisect_root` places the maximum to 1e-15;
+    that point is returned if its value is at least the grid maximum,
+    otherwise the grid point is.
+    """
+    xs = np.linspace(lo, hi, num)
+    vals = np.asarray(fn(xs), dtype=float)
+    i = int(np.argmax(vals))
+    a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, num - 1)])
+    if slope(a) >= 0.0 >= slope(b):
+        x = bisect_root(slope, a, b, xtol=1e-15)
+        if float(fn(x)) >= vals[i]:
+            return x
+    return float(xs[i])

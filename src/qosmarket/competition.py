@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import scan_then_refine
-from .duopoly import _check_pair
+from ._optim import scan_then_bisect
+from .duopoly import _check_incumbent, _check_pair
 from .errors import DomainError, ModelError, NonConvergenceError
 from .qos import QoSKind, QoSModel
 from .valuation import ValuationDistribution
@@ -63,15 +63,7 @@ class CournotGame:
     qos2: QoSModel
 
     def __post_init__(self) -> None:
-        q1 = float(self.q1)
-        if not math.isfinite(q1) or q1 <= 0.0:
-            raise ModelError(f"q1 must be positive, got {self.q1}")
-        object.__setattr__(self, "q1", q1)
-        if self.qos2.max_value() >= q1:
-            raise ModelError(
-                f"entrant quality must stay below q1={q1}, "
-                f"but reaches {self.qos2.max_value()}"
-            )
+        object.__setattr__(self, "q1", _check_incumbent(self.q1, self.qos2, "entrant"))
 
 
 @dataclass(frozen=True)
@@ -140,22 +132,44 @@ def revenues(game: CournotGame, lam1: float, lam2: float) -> tuple[float, float]
     return l1 * p1, l2 * p2
 
 
-def _revenue_surface(game: CournotGame, own: np.ndarray, other: float, player: int) -> np.ndarray:
-    """Vectorized own-revenue over an array of own shares, rival fixed."""
+def _revenue_surface(dist: ValuationDistribution, qos2: QoSModel, own, other, q1: float | None) -> np.ndarray:
+    """Own revenue over own and rival shares, broadcast: the incumbent's when
+    ``q1`` is given, else the entrant's (against an empty rival, the monopoly
+    revenue); zero where the shares exceed the market."""
     own = np.asarray(own, dtype=float)
     rest = 1.0 - own - other
     feasible = rest >= 0.0
-    rest_c = np.where(feasible, np.clip(rest, 0.0, 1.0), 0.0)
-    if player == 1:
-        g = game.qos2.evaluate(other)
-        a1 = game.dist.quantile(np.clip(1.0 - own, 0.0, 1.0))
-        a2 = game.dist.quantile(rest_c)
-        r = own * (a1 * (game.q1 - g) + a2 * g)
+    a2 = dist.quantile(np.where(feasible, np.clip(rest, 0.0, 1.0), 0.0))
+    if q1 is None:
+        r = own * a2 * qos2.evaluate(own)
     else:
-        g = game.qos2.evaluate(own)
-        a2 = game.dist.quantile(rest_c)
-        r = own * a2 * g
+        g = qos2.evaluate(other)
+        r = own * (dist.quantile(np.clip(1.0 - own, 0.0, 1.0)) * (q1 - g) + a2 * g)
     return np.where(feasible, r, 0.0)
+
+
+def _revenue_slope(
+    dist: ValuationDistribution, qos2: QoSModel, own: float, other: float, q1: float | None
+) -> float:
+    """Derivative of :func:`_revenue_surface` in the own share, at scalars.
+
+    quantile'(u) = 1/pdf(quantile(u)), infinite where the density vanishes;
+    at share 0 only the price level remains."""
+    a2 = dist.quantile(max(1.0 - own - other, 0.0))
+    if q1 is None:
+        g = qos2.evaluate(own)
+        price, dprice = a2 * g, a2 * qos2.derivative(own) - g * _quantile_slope(dist, a2)
+    else:
+        g = qos2.evaluate(other)
+        a1 = dist.quantile(1.0 - own)
+        price = a1 * (q1 - g) + a2 * g
+        dprice = -(q1 - g) * _quantile_slope(dist, a1) - g * _quantile_slope(dist, a2)
+    return price if own == 0.0 else price + own * dprice
+
+
+def _quantile_slope(dist: ValuationDistribution, alpha: float) -> float:
+    f = dist.pdf(alpha)
+    return 1.0 / f if f > 0.0 else math.inf
 
 
 def best_response(game: CournotGame, player: int, lam_other: float) -> float:
@@ -163,7 +177,8 @@ def best_response(game: CournotGame, player: int, lam_other: float) -> float:
 
     Requires a non-increasing valuation density, under which the result
     is guaranteed to lie in (0, 1/2].  Scans 2,001 grid points on
-    [0, 1/2] and refines by golden section; ties resolve toward the
+    [0, 1/2], then bisects on the sign of the analytic revenue slope in
+    the two cells around the best grid point; ties resolve toward the
     smaller share.
     """
     if player not in (1, 2):
@@ -176,9 +191,9 @@ def best_response(game: CournotGame, player: int, lam_other: float) -> float:
     hi = 0.5
     if player == 2:
         hi = min(hi, game.qos2.domain[1])
-    best, _ = scan_then_refine(
-        lambda lam: _revenue_surface(game, lam, other, player), 0.0, hi, _BR_SCAN
-    )
+    dist, qos2, q1 = game.dist, game.qos2, (game.q1 if player == 1 else None)
+    best = scan_then_bisect(lambda lam: _revenue_surface(dist, qos2, lam, other, q1),
+                            lambda lam: _revenue_slope(dist, qos2, lam, other, q1), 0.0, hi, _BR_SCAN)
     assert 0.0 < best <= 0.5, f"best response {best} escaped (0, 1/2]"
     return best
 
@@ -224,8 +239,9 @@ def supermodularity_check(game: CournotGame) -> SupermodularityReport:
     slot).  That margin is linear on each segment of the curve, so it is
     checked exactly at the segment ends, with each segment's own slope.
     Otherwise the cross-partials of both revenue surfaces are estimated by
-    central finite differences (h = 1e-4) on a 101x101 grid, with a small
-    slack absorbing differencing noise; this needs a non-increasing density.
+    central finite differences (h = 1e-4) on the 99x99 interior of a
+    101x101 grid, with a small slack absorbing differencing noise; this
+    needs a non-increasing density.
     """
     if game.dist.is_uniform():
         qos = game.qos2
@@ -242,22 +258,20 @@ def supermodularity_check(game: CournotGame) -> SupermodularityReport:
     h = _FD_STEP
     pts = np.linspace(0.0, 0.5, 101)
     pts = pts[(pts >= h) & (pts <= 0.5 - h)]
+    own, rival = pts[None, :], pts[:, None]  # rival-major grid
     worst = math.inf
     worst_point = (pts[0], pts[0])
-    for player in (1, 2):
-        for b in pts:
-            # cross-partial in (own, rival) via four corner evaluations
-            r_pp = _revenue_surface(game, pts + h, float(b) + h, player)
-            r_pm = _revenue_surface(game, pts + h, float(b) - h, player)
-            r_mp = _revenue_surface(game, pts - h, float(b) + h, player)
-            r_mm = _revenue_surface(game, pts - h, float(b) - h, player)
-            cross = (r_pp - r_pm - r_mp + r_mm) / (4.0 * h * h)
-            margin = -cross  # condition: cross-partial <= 0
-            i = int(np.argmin(margin))
-            if margin[i] < worst:
-                worst = float(margin[i])
-                own, rival = float(pts[i]), float(b)
-                worst_point = (own, rival) if player == 1 else (rival, own)
+    for q1 in (game.q1, None):  # incumbent, then entrant
+        # cross-partial in (own, rival) via four corner evaluations
+        r_pp, r_pm, r_mp, r_mm = (_revenue_surface(game.dist, game.qos2, own + do, rival + dr, q1)
+                                  for do in (h, -h) for dr in (h, -h))
+        cross = (r_pp - r_pm - r_mp + r_mm) / (4.0 * h * h)
+        margin = -cross  # condition: cross-partial <= 0
+        k = int(np.argmin(margin))  # first of equal margins, rival-major
+        if margin.flat[k] < worst:
+            worst = float(margin.flat[k])
+            b, i = divmod(k, pts.size)
+            worst_point = (float(pts[i]), float(pts[b])) if q1 is not None else (float(pts[b]), float(pts[i]))
     return SupermodularityReport(
         holds=bool(worst >= -_FD_SLACK), worst_point=worst_point, worst_margin=worst
     )

@@ -23,11 +23,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from ._optim import bisect_root
 from .errors import DomainError, ModelError
-from .monopoly import ConditionReport, DynamicsTrace, _EQ_FTOL, _EQ_XTOL
+from .monopoly import ConditionReport, DynamicsTrace, _EQ_FTOL, _EQ_XTOL, _iterate
 from .qos import QoSModel
 from .valuation import ValuationDistribution
 
@@ -63,20 +61,12 @@ class DuopolyMarket:
     p2: float
 
     def __post_init__(self) -> None:
-        q1 = float(self.q1)
-        if not math.isfinite(q1) or q1 <= 0.0:
-            raise ModelError(f"q1 must be positive, got {self.q1}")
-        object.__setattr__(self, "q1", q1)
+        object.__setattr__(self, "q1", _check_incumbent(self.q1, self.qos2, "entrant"))
         for field in ("p1", "p2"):
             v = float(getattr(self, field))
             if not math.isfinite(v) or v < 0.0:
                 raise ModelError(f"{field} must be >= 0, got {v}")
             object.__setattr__(self, field, v)
-        if self.qos2.max_value() >= q1:
-            raise ModelError(
-                f"entrant quality must stay below q1={q1}, "
-                f"but reaches {self.qos2.max_value()}"
-            )
 
 
 @dataclass(frozen=True)
@@ -92,6 +82,16 @@ class DuopolyEquilibrium:
     regime: Regime
     theta1: float | None = None
     theta2: float | None = None
+
+
+def _check_incumbent(q1: float, qos2: QoSModel, entrant: str) -> float:
+    """``q1`` as a float once it is positive and finite and ``qos2`` stays below it."""
+    q = float(q1)
+    if not math.isfinite(q) or q <= 0.0:
+        raise ModelError(f"q1 must be positive, got {q1}")
+    if qos2.max_value() >= q:
+        raise ModelError(f"{entrant} quality reaches {qos2.max_value()}, must stay below q1={q}")
+    return q
 
 
 def _check_pair(lam1: float, lam2: float) -> tuple[float, float]:
@@ -133,28 +133,9 @@ def simulate_duopoly(
     Convergence is measured in the max norm of one step's change.
     Non-convergence is reported on the trace, not raised.
     """
-    l1, l2 = _check_pair(*start)
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    shares = [(l1, l2)]
-    converged = False
-    residual = math.inf
-    for _ in range(max_iter):
-        n1, n2 = step_duopoly(market, l1, l2)
-        residual = max(abs(n1 - l1), abs(n2 - l2))
-        l1, l2 = n1, n2
-        shares.append((l1, l2))
-        if residual < tol:
-            converged = True
-            break
-    return DynamicsTrace(
-        shares=np.asarray(shares),
-        converged=converged,
-        iterations=len(shares) - 1,
-        residual=residual,
-    )
+    pair = _check_pair(*start)
+    return _iterate(lambda p: step_duopoly(market, *p), pair, pair, lambda p: p,
+                    lambda a, b: max(abs(a[0] - b[0]), abs(a[1] - b[1])), max_iter, tol)
 
 
 def equilibrium_duopoly(market: DuopolyMarket) -> DuopolyEquilibrium:
@@ -205,11 +186,7 @@ def convergence_condition_duopoly(
     g, so the maximum sits at a segment end.  Validates that the entrant
     curve stays strictly below ``q1`` first.
     """
-    q1 = float(q1)
-    if not math.isfinite(q1) or q1 <= 0.0:
-        raise ModelError(f"q1 must be positive, got {q1}")
-    if qos2.max_value() >= q1:
-        raise ModelError("entrant quality must stay strictly below q1")
+    q1 = _check_incumbent(q1, qos2, "entrant")
     lhs = max(
         (-s / g) * (q1 / (q1 - g)) for _, _, g0, g1, s in qos2.segments() for g in (g0, g1)
     )

@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -270,29 +269,32 @@ def simulate(
     ``quantile(1 - lam0)``; the trace still records shares.
     """
     lam0 = _checked_share(lam0)
+    dist = market.dist
+    if isinstance(variant, SwitchingCost):
+        state, share = dist.quantile(1.0 - lam0), lambda a: 1.0 - dist.cdf(a)
+    else:
+        state, share = lam0, lambda lam: lam
+    return _iterate(lambda s: step_variant(market, variant, s), state, lam0, share,
+                    lambda a, b: abs(a - b), max_iter, tol)
+
+
+def _iterate(update, state, share0, share, distance, max_iter: int, tol: float) -> DynamicsTrace:
+    """Apply ``update`` until the share read off the state by ``share`` moves
+    less than ``tol`` in ``distance``, at most ``max_iter`` times."""
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    threshold_state = isinstance(variant, SwitchingCost)
-    state = market.dist.quantile(1.0 - lam0) if threshold_state else lam0
-    shares = [lam0]
-    converged = False
+    shares = [share0]
     residual = math.inf
     for _ in range(max_iter):
-        state = step_variant(market, variant, state)
-        lam = 1.0 - market.dist.cdf(state) if threshold_state else state
-        residual = abs(lam - shares[-1])
+        state = update(state)
+        lam = share(state)
+        residual = distance(lam, shares[-1])
         shares.append(lam)
         if residual < tol:
-            converged = True
             break
-    return DynamicsTrace(
-        shares=np.asarray(shares),
-        converged=converged,
-        iterations=len(shares) - 1,
-        residual=residual,
-    )
+    return DynamicsTrace(np.asarray(shares), residual < tol, len(shares) - 1, residual)
 
 
 # --------------------------------------------------------------------------

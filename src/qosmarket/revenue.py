@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import scan_then_refine
+from ._optim import scan_then_bisect
+from .competition import _revenue_slope, _revenue_surface
 from .errors import DomainError, ModelError
 from .monopoly import MonopolyMarket, _decay_ratio_max, equilibrium
 from .qos import QoSModel
@@ -93,25 +94,21 @@ def price_from_marginal(
     return a * qos.evaluate(1.0 - dist.cdf(a))
 
 
-def _share_revenue(dist: ValuationDistribution, qos: QoSModel, lam):
-    return dist.quantile(1.0 - np.asarray(lam, dtype=float)) * qos.evaluate(lam) * np.asarray(lam, dtype=float)
-
-
 def optimize(dist: ValuationDistribution, qos: QoSModel) -> RevenueOptimum:
     """Maximize revenue over the share.
 
-    Scans 2,001 grid points, then refines with golden-section search;
-    ties resolve toward the smaller share.  With a non-increasing density
-    the scan is restricted to [0, 1/2], where the optimum is known to lie.
+    Revenue is the entrant's against an empty rival.  Scans 2,001 grid
+    points, then bisects on the sign of the analytic revenue slope in the
+    two cells around the best grid point; ties resolve toward the smaller
+    share.  With a non-increasing density the scan is restricted to
+    [0, 1/2], where the optimum is known to lie.
     """
-    lo, hi = qos.domain
-    lo = max(lo, 0.0)
-    hi = min(hi, 0.5 if dist.is_nonincreasing_pdf() else 1.0)
+    lo, hi = qos.domain  # within [0, 1]
+    hi = min(hi, 0.5) if dist.is_nonincreasing_pdf() else hi
     if not lo < hi:
         raise ModelError("quality curve domain too small to optimize over")
-    share, _ = scan_then_refine(
-        lambda lam: _share_revenue(dist, qos, lam), lo, hi, _SCAN_POINTS
-    )
+    share = scan_then_bisect(lambda lam: _revenue_surface(dist, qos, lam, 0.0, None),
+                             lambda lam: _revenue_slope(dist, qos, lam, 0.0, None), lo, hi, _SCAN_POINTS)
     alpha = dist.quantile(1.0 - share)
     price = alpha * qos.evaluate(share)
     return RevenueOptimum(

@@ -10,12 +10,12 @@ share-competition equilibrium against an incumbent of quality ``q1``.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .competition import CournotGame, nash_solve
+from .duopoly import _check_incumbent
 from .errors import ModelError
 from .qos import Technology
 from .revenue import optimize
@@ -56,16 +56,10 @@ class SelectionProblem:
         if not any(t.is_entry for t in techs):
             raise ModelError("at least one entry technology is required")
         if self.q1 is not None:
-            q1 = float(self.q1)
-            if not math.isfinite(q1) or q1 <= 0.0:
-                raise ModelError(f"q1 must be positive, got {self.q1}")
-            object.__setattr__(self, "q1", q1)
             for t in techs:
-                if t.is_entry and t.qos.max_value() >= q1:
-                    raise ModelError(
-                        f"technology {t.name!r} quality reaches "
-                        f"{t.qos.max_value()}, must stay below q1={q1}"
-                    )
+                if t.is_entry:
+                    q1 = _check_incumbent(self.q1, t.qos, f"technology {t.name!r}")
+            object.__setattr__(self, "q1", q1)  # at least one entry exists
 
     def ordered(self) -> tuple[Technology, ...]:
         """Technologies in evaluation order: entries as listed, stay-out last."""

@@ -177,28 +177,38 @@ class ValuationDistribution:
     def quantile(self, u):
         """Inverse cdf; by convention quantile(0) = 0 and quantile(1) = beta.
 
-        Custom densities are inverted by bisection to 1e-12 in alpha.
+        Exact: the cdf is quadratic on each segment.  Entering the segment
+        at its denser node (density ``f``, slope magnitude ``|s|``) with
+        probability ``r`` left to cover, the valuation moves ``d = 2r / (f +
+        sqrt(f^2 - 2|s|r))``.  The density falls along the way, so the root
+        neither cancels nor divides by zero and never decreases in ``u``.
         Raises DomainError for probabilities outside [0, 1].
         """
-        scalar = np.ndim(u) == 0
+        if isinstance(u, float) or np.ndim(u) == 0:
+            v = float(u)
+            if not 0.0 <= v <= 1.0:  # NaN fails too
+                raise DomainError(f"probability outside [0, 1]: {u!r}")
+            if v == 0.0 or v == 1.0:
+                return self._beta * v
+            i = bisect_right(self._cum, v, 1, len(self._slope)) - 1
+            s = self._slope[i]
+            j = i + (s > 0.0)
+            r = abs(v - self._cum[j])
+            f = self._f[j]
+            d = 2.0 * r / (f + math.sqrt(max(f * f - 2.0 * abs(s) * r, 0.0)))
+            return min(max(self._x[j] - d if s > 0.0 else self._x[j] + d, self._x[i]), self._x[i + 1])
         uu = np.asarray(u, dtype=float)
-        if np.any(~np.isfinite(uu)) or np.any(uu < 0.0) or np.any(uu > 1.0):
+        if not np.all((uu >= 0.0) & (uu <= 1.0)):
             raise DomainError(f"probability outside [0, 1]: {u!r}")
-        if self._kind is DistributionKind.UNIFORM:
-            out = self._beta * uu
-            return float(out) if scalar else out
-        # vectorized bisection; width beta / 2^n drops below 1e-12
-        n_iter = max(48, int(math.ceil(math.log2(self._beta / 1e-12))) + 2)
-        lo = np.zeros_like(uu)
-        hi = np.full_like(uu, self._beta)
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < uu
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        out = np.where(uu == 0.0, 0.0, np.where(uu == 1.0, self._beta, out))
-        return float(out) if scalar else out
+        x, f, cum, slope = self._arrays
+        i = _table.indices(cum, uu)
+        s = slope[i]
+        j = i + (s > 0.0)
+        r = np.abs(uu - cum[j])
+        fj = f[j]
+        d = 2.0 * r / (fj + np.sqrt(np.maximum(fj * fj - 2.0 * np.abs(s) * r, 0.0)))
+        out = np.minimum(np.maximum(np.where(s > 0.0, x[j] - d, x[j] + d), x[i]), x[i + 1])
+        return np.where((uu == 0.0) | (uu == 1.0), self._beta * uu, out)
 
     # -- derived constants ----------------------------------------------
 

@@ -8,10 +8,13 @@ import pytest
 import qosmarket as qm
 from qosmarket.competition import (
     DEFAULT_STARTS,
+    _revenue_slope,
+    _revenue_surface,
     inverse_demand,
     marginal_valuations,
     revenues,
 )
+from test_acceptance import random_nonincreasing_density
 
 TOL = 1e-9
 # frozen solution for q1=2, entrant quality 1 - 0.5*lam, uniform valuations
@@ -170,6 +173,34 @@ class TestSupermodularity:
         assert rep.worst_margin == pytest.approx(-899.22, rel=1e-9)
         assert rep.worst_point[1] == 0.30004
 
+    def test_grid_matches_the_row_by_row_loop(self, triangle):
+        """The 2-D finite differences reproduce, bit for bit, a loop over
+        rival shares that scans own shares one row at a time."""
+
+        def loop_report(game):
+            h = 1e-4
+            pts = np.linspace(0.0, 0.5, 101)
+            pts = pts[(pts >= h) & (pts <= 0.5 - h)]
+            worst, worst_point = math.inf, (pts[0], pts[0])
+            for q1 in (game.q1, None):
+                for b in pts:
+                    r_pp, r_pm, r_mp, r_mm = (_revenue_surface(game.dist, game.qos2, pts + do, float(b) + dr, q1)
+                                              for do in (h, -h) for dr in (h, -h))
+                    margin = -(r_pp - r_pm - r_mp + r_mm) / (4.0 * h * h)
+                    i = int(np.argmin(margin))
+                    if margin[i] < worst:
+                        worst = float(margin[i])
+                        own, rival = float(pts[i]), float(b)
+                        worst_point = (own, rival) if q1 is not None else (rival, own)
+            return qm.SupermodularityReport(worst >= -1e-6, worst_point, worst)
+
+        rng = np.random.default_rng(3)
+        games = [qm.CournotGame(triangle, 1.0, qm.QoSModel.constant(0.5))]
+        for _ in range(2):
+            games.append(qm.CournotGame(random_nonincreasing_density(rng), 1.8, qm.QoSModel.linear(1.5, 0.4)))
+        for game in games:
+            assert qm.supermodularity_check(game) == loop_report(game)
+
     def test_custom_density_uses_cross_partials(self, triangle):
         game = qm.CournotGame(triangle, 1.0, qm.QoSModel.constant(0.5))
         rep = qm.supermodularity_check(game)
@@ -261,3 +292,28 @@ class TestNash:
         with pytest.raises(qm.ModelError):
             qm.NashOutcome(lam1=0.0, lam2=0.2, p1=1.0, p2=0.5, r1=0.0, r2=0.1,
                            iterations=1, supermodular_check=True, path=((0.0, 0.2),))
+
+
+class TestNashRobustness:
+    def test_seeded_custom_games_converge(self):
+        # best responses placed by golden section (about 1e-8) made some of
+        # these games cycle below the default tol, e.g. games 3, 4 and 9
+        rng = np.random.default_rng(7)
+        for k in range(40):
+            dist = random_nonincreasing_density(rng)
+            q_bar = rng.uniform(0.8, 1.6)
+            c = rng.uniform(0.02, 0.4) * q_bar
+            q1 = q_bar * rng.uniform(1.05, 1.5)
+            game = qm.CournotGame(dist, q1, qm.QoSModel.linear(q_bar, c))
+            try:
+                qm.nash_solve(game, max_rounds=60)
+            except qm.NonConvergenceError as exc:
+                pytest.fail(f"game {k}: {exc}")
+
+    def test_best_response_is_a_stationary_point(self, triangle):
+        game = qm.CournotGame(triangle, 1.0, qm.QoSModel.constant(0.5))
+        for player in (1, 2):
+            for other in (0.1, 0.3):
+                b = qm.best_response(game, player, other)
+                q1 = game.q1 if player == 1 else None
+                assert abs(_revenue_slope(triangle, game.qos2, b, other, q1)) < 1e-12

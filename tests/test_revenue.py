@@ -1,10 +1,13 @@
 """Revenue as a function of price, marginal user, or served share."""
 
+import math
+
 import numpy as np
 import pytest
 
 import qosmarket as qm
-from qosmarket._optim import scan_then_refine
+from qosmarket._optim import scan_then_bisect, scan_then_refine
+from qosmarket.competition import _revenue_slope
 from qosmarket.revenue import price_from_marginal, revenue_at_price, revenue_curve
 
 TOL = 1e-9
@@ -224,3 +227,61 @@ class TestRevenueCurve:
         curve = revenue_curve(uniform1, split_qos, shares)
         best = qm.optimize(uniform1, split_qos)
         assert curve[:, 2].max() == pytest.approx(best.revenue, abs=1e-6)
+
+
+class TestExactOptimum:
+    """The slope refinement places smooth maxima to rounding, not to ~1e-8."""
+
+    def test_triangle_optimum(self, triangle):
+        # revenue lam * (1 - sqrt(lam)) peaks where 1 - 1.5 sqrt(lam) = 0
+        opt = qm.optimize(triangle, qm.QoSModel.constant(1.0))
+        assert abs(opt.share - 4.0 / 9.0) <= 1e-12
+        assert abs(opt.marginal_valuation - 1.0 / 3.0) <= 1e-12
+
+    def test_uniform_linear_matches_closed_form(self, uniform1, split_qos):
+        num = qm.optimize(uniform1, split_qos)
+        closed = qm.optimum_closed_form(1.0, 1.633, 0.088)
+        for field in ("share", "marginal_valuation", "price", "revenue"):
+            assert abs(getattr(num, field) - getattr(closed, field)) <= 1e-12, field
+
+    def test_density_vanishing_at_zero(self):
+        # f(a) = 2a: revenue lam * sqrt(1 - lam) peaks at lam = 2/3, and the
+        # slope at lam = 1 is -inf rather than a division by zero
+        a = np.linspace(0.0, 1.0, 11)
+        rising = qm.ValuationDistribution.from_samples(a, 2.0 * a)
+        const = qm.QoSModel.constant(1.0)
+        assert abs(qm.optimize(rising, const).share - 2.0 / 3.0) <= 1e-12
+        assert _revenue_slope(rising, const, 1.0, 0.0, None) == -math.inf
+
+    def test_slope_at_share_zero_is_the_price_level(self, triangle):
+        # pdf(beta) = 0 for the triangle; at share 0 no 1/pdf term enters
+        assert _revenue_slope(triangle, qm.QoSModel.constant(1.0), 0.0, 0.0, None) == 1.0
+
+    def test_never_below_the_grid(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            xs = np.unique(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 6)]))
+            f = rng.uniform(0.05, 3.0, xs.size)
+            dist = qm.ValuationDistribution.from_samples(xs, f / np.sum(np.diff(xs) * (f[1:] + f[:-1]) / 2))
+            qos = qm.QoSModel.tabulated([0.0, 0.4, 1.0], [1.5, rng.uniform(0.8, 1.5), 0.6])
+            opt = qm.optimize(dist, qos)
+            hi = 0.5 if dist.is_nonincreasing_pdf() else 1.0
+            lam = np.linspace(0.0, hi, 2001)
+            scan = dist.quantile(1.0 - lam) * qos.evaluate(lam) * lam
+            assert opt.revenue >= scan.max() * (1.0 - 1e-12)
+
+
+class TestScanThenBisect:
+    def test_kink_maximum(self):
+        # slope jumps from +1 to -2 at 0.3: the root of the slope is the kink
+        x = scan_then_bisect(lambda t: np.minimum(t, 0.9 - 2.0 * t),
+                             lambda t: 1.0 if t < 0.3 else -2.0, 0.0, 1.0, 11)
+        assert abs(x - 0.3) <= 1e-15
+
+    def test_grid_point_when_slope_keeps_its_sign(self):
+        assert scan_then_bisect(lambda t: t, lambda t: 1.0, 0.0, 1.0, 11) == 1.0
+
+    def test_grid_point_when_the_root_is_worse(self):
+        # a slope whose root (0.45) is not the maximum cannot lower the grid value
+        x = scan_then_bisect(lambda t: -(t - 0.5) ** 2, lambda t: 0.45 - t, 0.0, 1.0, 11)
+        assert x == 0.5

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qosmarket as qm
 from qosmarket.valuation import load_pdf_samples, save_pdf_samples
@@ -264,3 +266,69 @@ class TestCsvFormat:
         path.write_text("alpha,pdf\n0,2,9\n")
         with pytest.raises(qm.ModelError):
             load_pdf_samples(path)
+
+
+@st.composite
+def densities(draw):
+    """A piecewise-linear density, non-increasing or not, with node positions.
+
+    Endpoint densities may be zero; interior ones stay positive.
+    """
+    n = draw(st.integers(2, 12))
+    gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1)))
+    xs = np.concatenate([[0.0], np.cumsum(gaps)])
+    xs = xs / xs[-1] * draw(st.floats(0.1, 5.0))
+    f = np.array(draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        f = np.sort(f)[::-1].copy()
+    f[-1] *= draw(st.sampled_from([0.0, 1.0]))
+    if n > 2 or f[-1] > 0.0:
+        f[0] *= draw(st.sampled_from([0.0, 1.0]))
+    f /= float(np.sum(np.diff(xs) * 0.5 * (f[:-1] + f[1:])))
+    return qm.ValuationDistribution.from_samples(xs, f), xs
+
+
+probabilities = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30)
+
+
+class TestQuantileProperties:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(densities(), probabilities)
+    def test_cdf_undoes_quantile(self, dist_nodes, us):
+        d, xs = dist_nodes
+        u = np.concatenate([us, d.cdf(xs), [0.0, 1.0]])
+        assert np.max(np.abs(d.cdf(d.quantile(u)) - u)) <= 1e-14
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(densities(), probabilities)
+    def test_nondecreasing(self, dist_nodes, us):
+        d, xs = dist_nodes
+        u = np.concatenate([us, d.cdf(xs)])
+        # each probability with its neighbouring floats
+        u = np.sort(np.clip(np.concatenate([u, np.nextafter(u, -1.0), np.nextafter(u, 2.0)]), 0.0, 1.0))
+        assert np.all(np.diff(d.quantile(u)) >= 0.0)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(densities(), probabilities)
+    def test_scalar_and_array_agree_bit_for_bit(self, dist_nodes, us):
+        d, xs = dist_nodes
+        u = np.concatenate([us, d.cdf(xs), [0.0, 1.0]])
+        scalars = np.array([d.quantile(float(v)) for v in u])
+        assert scalars.tobytes() == d.quantile(u).tobytes()
+        assert d.quantile(0.0) == 0.0 and d.quantile(1.0) == d.beta
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        densities(),
+        st.one_of(
+            st.floats(max_value=-1e-300),
+            st.floats(min_value=1.0, exclude_min=True),
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+        ),
+    )
+    def test_out_of_range_raises(self, dist_nodes, bad):
+        d, _ = dist_nodes
+        with pytest.raises(qm.DomainError):
+            d.quantile(bad)
+        with pytest.raises(qm.DomainError):
+            d.quantile(np.array([0.5, bad]))
