@@ -237,7 +237,7 @@ def cmd_compete(scenario: Scenario, args, out_dir: Path) -> int:
         f"lambda1={_fmt(outcome.lam1)} lambda2={_fmt(outcome.lam2)} "
         f"p1={_fmt(outcome.p1)} p2={_fmt(outcome.p2)} "
         f"r1={_fmt(outcome.r1)} r2={_fmt(outcome.r2)} "
-        f"supermodular={_fmt(outcome.supermodular_check)}"
+        f"supermodular={_fmt(competition.supermodularity_check(game).holds)}"
     )
     print(f"wrote {out_path}")
     return 0

@@ -14,9 +14,9 @@ Revenue is own share times own price, and zero for infeasible share
 pairs.  With a non-increasing valuation density each best response lies
 in (0, 1/2]; :func:`nash_solve` finds the equilibrium by alternating
 best responses and verifies it by re-optimizing both players.
-:func:`supermodularity_check` reports whether the revenue cross-partials
-are nonpositive, which makes the best responses monotone and the
-iteration reliable.
+:func:`supermodularity_check` certifies the game, not a solve: it reports
+whether the revenue cross-partials are nonpositive, which makes the best
+responses monotone and the iteration reliable.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ class CournotGame:
 class NashOutcome:
     """A share equilibrium with its prices, revenues, and diagnostics.
 
-    ``iterations`` counts best-response rounds; ``supermodular_check``
-    records whether the cross-partial condition held for this game;
-    ``path`` lists the visited share pairs, starting with the start point.
+    ``iterations`` counts best-response rounds; ``path`` lists the visited
+    share pairs, starting with the start point.  Whether the cross-partial
+    condition holds is a property of the game: ``supermodularity_check(game)``.
     """
 
     lam1: float
@@ -82,7 +82,6 @@ class NashOutcome:
     r1: float
     r2: float
     iterations: int
-    supermodular_check: bool
     path: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
@@ -177,9 +176,9 @@ def best_response(game: CournotGame, player: int, lam_other: float) -> float:
 
     Requires a non-increasing valuation density, under which the result
     is guaranteed to lie in (0, 1/2].  Scans 2,001 grid points on
-    [0, 1/2], then bisects on the sign of the analytic revenue slope in
-    the two cells around the best grid point; ties resolve toward the
-    smaller share.
+    [0, 1/2], then finds the root of the analytic revenue slope in the two
+    cells around the best grid point; ties resolve toward the smaller
+    share.
     """
     if player not in (1, 2):
         raise DomainError(f"player must be 1 or 2, got {player!r}")
@@ -307,7 +306,8 @@ def nash_solve(
     convergence the point is verified as an equilibrium by re-optimizing
     each player numerically (improvements below 1e-8 required).  Raises
     NonConvergenceError (carrying the visited path) if the round budget
-    runs out.
+    runs out.  The supermodularity certificate that makes the iteration
+    reliable belongs to the game: ``supermodularity_check(game)``.
     """
     l1, l2 = float(start[0]), float(start[1])
     if not (0.0 <= l1 <= 0.5 and 0.0 <= l2 <= 0.5):
@@ -351,7 +351,6 @@ def nash_solve(
         r1=r1,
         r2=r2,
         iterations=rounds,
-        supermodular_check=supermodularity_check(game).holds,
         path=tuple(path),
     )
 
@@ -365,7 +364,8 @@ def nash_solve_multi(
     """Solve from several deterministic starts, sorted by (lam1, lam2).
 
     Disagreement between the returned outcomes flags multiple equilibria
-    (or a failure of the monotonicity the iteration relies on).
+    (or a failure of the monotonicity the iteration relies on, which
+    ``supermodularity_check(game)`` certifies once per game).
     """
     outcomes = [nash_solve(game, s, max_rounds, tol) for s in starts]
     outcomes.sort(key=lambda o: (o.lam1, o.lam2))

@@ -98,8 +98,8 @@ def optimize(dist: ValuationDistribution, qos: QoSModel) -> RevenueOptimum:
     """Maximize revenue over the share.
 
     Revenue is the entrant's against an empty rival.  Scans 2,001 grid
-    points, then bisects on the sign of the analytic revenue slope in the
-    two cells around the best grid point; ties resolve toward the smaller
+    points, then finds the root of the analytic revenue slope in the two
+    cells around the best grid point; ties resolve toward the smaller
     share.  With a non-increasing density the scan is restricted to
     [0, 1/2], where the optimum is known to lie.
     """

@@ -4,7 +4,9 @@ A scenario bundles the valuation distribution, candidate entrant
 technologies, an optional incumbent, posted prices, and dynamics
 settings.  Relative file references (tabulated densities or QoS curves)
 resolve against the scenario file's directory.  Problems raise
-:class:`ScenarioError` naming the file and the offending key.
+:class:`ScenarioError` naming the file and the offending key; a key the
+format does not know (a typo such as ``"incumbant"``) is one of them.
+Only ``metadata`` is free-form.
 
 Example::
 
@@ -86,6 +88,13 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _only(mapping: dict, where: str, *keys: str) -> None:
+    unknown = [k for k in mapping if k not in keys]
+    if unknown:
+        allowed = ", ".join(repr(k) for k in keys)
+        raise ScenarioError(f"{where}: unknown key {unknown[0]!r} (expected {allowed})")
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
@@ -100,8 +109,10 @@ def _parse_distribution(spec, base: Path, where: str) -> ValuationDistribution:
         raise ScenarioError(f"{where}: expected an object")
     kind = _need(spec, "kind", where)
     if kind == "uniform":
+        _only(spec, where, "kind", "beta")
         return ValuationDistribution.uniform(_number(_need(spec, "beta", where), f"{where}.beta"))
     if kind == "custom":
+        _only(spec, where, "kind", "file")
         rel = _need(spec, "file", where)
         return ValuationDistribution.from_csv(base / rel)
     raise ScenarioError(f"{where}.kind: unknown distribution kind {kind!r}")
@@ -112,13 +123,16 @@ def _parse_qos(spec, base: Path, where: str) -> QoSModel:
         raise ScenarioError(f"{where}: expected an object")
     kind = _need(spec, "kind", where)
     if kind == "constant":
+        _only(spec, where, "kind", "q")
         return QoSModel.constant(_number(_need(spec, "q", where), f"{where}.q"))
     if kind == "linear":
+        _only(spec, where, "kind", "q_bar", "c")
         return QoSModel.linear(
             _number(_need(spec, "q_bar", where), f"{where}.q_bar"),
             _number(_need(spec, "c", where), f"{where}.c"),
         )
     if kind == "tabulated":
+        _only(spec, where, "kind", "file")
         rel = _need(spec, "file", where)
         return QoSModel.from_csv(base / rel)
     raise ScenarioError(f"{where}.kind: unknown QoS kind {kind!r}")
@@ -129,12 +143,16 @@ def _parse_variant(spec, where: str) -> MonopolyVariant:
         raise ScenarioError(f"{where}: expected an object")
     kind = _need(spec, "kind", where)
     if kind == "synchronous":
+        _only(spec, where, "kind")
         return Synchronous()
     if kind == "partial":
+        _only(spec, where, "kind", "epsilon")
         return Partial(epsilon=_number(_need(spec, "epsilon", where), f"{where}.epsilon"))
     if kind == "switching_cost":
+        _only(spec, where, "kind", "cost")
         return SwitchingCost(cost=_number(_need(spec, "cost", where), f"{where}.cost"))
     if kind == "positive_externality":
+        _only(spec, where, "kind", "q_bar", "delta", "phi", "gamma")
         return PositiveExternality(
             q_bar=_number(_need(spec, "q_bar", where), f"{where}.q_bar"),
             delta=_number(_need(spec, "delta", where), f"{where}.delta"),
@@ -147,6 +165,7 @@ def _parse_variant(spec, where: str) -> MonopolyVariant:
 def _parse_dynamics(spec, where: str) -> DynamicsSpec:
     if not isinstance(spec, dict):
         raise ScenarioError(f"{where}: expected an object")
+    _only(spec, where, "variant", "lambda0", "max_iter", "tol")
     variant = _parse_variant(_need(spec, "variant", where), f"{where}.variant")
     raw0 = _need(spec, "lambda0", where)
     lambda0: float | tuple[float, float]
@@ -181,6 +200,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path}: top level must be an object")
     base = path.parent
     try:
+        _only(raw, "scenario", "name", "distribution", "technologies", "incumbent", "prices", "dynamics", "metadata")
         dist = _parse_distribution(_need(raw, "distribution", "scenario"), base, "distribution")
         raw_techs = _need(raw, "technologies", "scenario")
         if not isinstance(raw_techs, list) or not raw_techs:
@@ -190,6 +210,7 @@ def load_scenario(path) -> Scenario:
             where = f"technologies[{i}]"
             if not isinstance(t, dict):
                 raise ScenarioError(f"{where}: expected an object")
+            _only(t, where, "name", "qos", "cost")
             techs.append(
                 Technology(
                     name=str(_need(t, "name", where)),
@@ -202,12 +223,14 @@ def load_scenario(path) -> Scenario:
             inc = raw["incumbent"]
             if not isinstance(inc, dict):
                 raise ScenarioError("incumbent: expected an object")
+            _only(inc, "incumbent", "q1")
             q1 = _number(_need(inc, "q1", "incumbent"), "incumbent.q1")
         p1 = p2 = None
         if "prices" in raw:
             prices = raw["prices"]
             if not isinstance(prices, dict):
                 raise ScenarioError("prices: expected an object")
+            _only(prices, "prices", "p1", "p2")
             if "p1" in prices:
                 p1 = _number(prices["p1"], "prices.p1")
             if "p2" in prices:

@@ -136,6 +136,27 @@ class TestCompete:
         assert float(last[3]) == pytest.approx(0.5834651157, abs=1e-7)
         assert float(last[5]) == pytest.approx(0.2017970013, abs=1e-7)
 
+    @pytest.mark.parametrize("qos", [
+        None,  # split_duopoly itself
+        {"kind": "linear", "q_bar": 1.633, "c": 0.088},
+        {"kind": "linear", "q_bar": 1.0, "c": 0.9},  # cross-partials of both signs
+    ])
+    def test_supermodular_is_the_games_verdict(self, qos, tmp_path, capsys):
+        path = Path(DUO)
+        if qos is not None:
+            path = tmp_path / "custom_duopoly.json"
+            path.write_text(json.dumps({
+                "distribution": {"kind": "custom", "file": str(SCENARIO_DIR / "triangle_pdf.csv")},
+                "technologies": [{"name": "entry", "qos": qos}],
+                "incumbent": {"q1": 1.687},
+            }))
+        assert cli.main(["compete", str(path), "--out", str(tmp_path)]) == 0
+        sc = qosmarket.load_scenario(path)
+        game = qosmarket.CournotGame(sc.dist, sc.q1, sc.technologies[0].qos)
+        holds = qosmarket.supermodularity_check(game).holds
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.endswith(f" supermodular={'true' if holds else 'false'}")
+
     def test_start_flag_reaches_same_solution(self, tmp_path, capsys):
         assert cli.main(["compete", DUO, "--start", "0.1,0.3",
                          "--out", str(tmp_path)]) == 0

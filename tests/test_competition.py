@@ -212,7 +212,7 @@ class TestNash:
         out = qm.nash_solve(linear_game(), (0.25, 0.25), 1_000, 1e-10)
         assert out.lam1 == pytest.approx(NE_LAM1, abs=1e-7)
         assert out.lam2 == pytest.approx(NE_LAM2, abs=1e-7)
-        assert out.supermodular_check
+        assert qm.supermodularity_check(linear_game()).holds
         assert 0 < out.lam1 < 0.5 and 0 < out.lam2 < 0.5
         # prices and revenues are consistent with the shares
         p1, p2 = inverse_demand(linear_game(), out.lam1, out.lam2)
@@ -288,10 +288,22 @@ class TestNash:
         with pytest.raises(qm.DomainError):
             qm.nash_solve(linear_game(), (-0.1, 0.1), 100, 1e-10)
 
+    def test_solve_leaves_the_certificate_to_the_game(self, monkeypatch, triangle, split_qos):
+        def refuse(game):
+            raise AssertionError("supermodularity_check called")
+
+        monkeypatch.setattr(qm.competition, "supermodularity_check", refuse)
+        game = qm.CournotGame(triangle, 1.687, split_qos)
+        qm.nash_solve(game)
+        qm.nash_solve_multi(game)
+        problem = qm.SelectionProblem(
+            triangle, (qm.Technology("split", split_qos, 0.05), qm.Technology.stay_out()), q1=1.687)
+        assert qm.select(problem).chosen.name == "split"
+
     def test_outcome_share_validation(self):
         with pytest.raises(qm.ModelError):
             qm.NashOutcome(lam1=0.0, lam2=0.2, p1=1.0, p2=0.5, r1=0.0, r2=0.1,
-                           iterations=1, supermodular_check=True, path=((0.0, 0.2),))
+                           iterations=1, path=((0.0, 0.2),))
 
 
 class TestNashRobustness:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import qosmarket as qm
-from qosmarket._optim import scan_then_bisect, scan_then_refine
+from qosmarket import _optim
+from qosmarket._optim import bisect_root, itp_root, scan_then_bisect, scan_then_refine
 from qosmarket.competition import _revenue_slope
 from qosmarket.revenue import price_from_marginal, revenue_at_price, revenue_curve
+from test_acceptance import random_nonincreasing_density
 
 TOL = 1e-9
 GOLDEN_SHARE = 0.42264973081037427
@@ -285,3 +287,59 @@ class TestScanThenBisect:
         # a slope whose root (0.45) is not the maximum cannot lower the grid value
         x = scan_then_bisect(lambda t: -(t - 0.5) ** 2, lambda t: 0.45 - t, 0.0, 1.0, 11)
         assert x == 0.5
+
+
+def counted(fn):
+    """``fn`` recording the points it is called at in ``.xs``."""
+    def wrapped(x):
+        wrapped.xs.append(x)
+        return fn(x)
+    wrapped.xs = []
+    return wrapped
+
+
+class TestItpRoot:
+    def test_step_slope_within_one_evaluation_of_bisection(self):
+        # the step slope of test_kink_maximum, on the bracket the scan hands over
+        # and on some lopsided ones
+        def step(t):
+            return 1.0 if t < 0.3 else -2.0
+
+        for a, b in ((0.2, 0.4), (0.0, 1.0), (0.299, 0.9), (0.1, 0.3000001)):
+            itp, bis = counted(step), counted(step)
+            x = itp_root(itp, a, b, xtol=1e-15)
+            bisect_root(bis, a, b, xtol=1e-15)
+            assert abs(x - 0.3) <= 1e-15
+            assert len(itp.xs) <= len(bis.xs) + 1
+
+    def test_smooth_slopes_take_few_evaluations(self, monkeypatch):
+        # bisection from the two-cell bracket to 1e-15 takes 41 evaluations;
+        # no probe may repeat a point (rounding onto a bracket end)
+        per_root = []
+
+        def counting_itp(fn, lo, hi, **kw):
+            slope = counted(fn)
+            x = itp_root(slope, lo, hi, **kw)
+            per_root.append(len(slope.xs))
+            assert len(set(slope.xs)) == len(slope.xs)
+            return x
+
+        monkeypatch.setattr(_optim, "itp_root", counting_itp)
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            dist = random_nonincreasing_density(rng)
+            q_bar = rng.uniform(0.8, 1.6)
+            game = qm.CournotGame(dist, q_bar * rng.uniform(1.05, 1.5),
+                                  qm.QoSModel.linear(q_bar, rng.uniform(0.02, 0.4) * q_bar))
+            for player in (1, 2):
+                qm.best_response(game, player, rng.uniform(0.05, 0.45))
+        assert len(per_root) >= 150
+        assert sum(per_root) / len(per_root) <= 15.0
+
+    def test_rejects_a_non_bracket(self):
+        with pytest.raises(ValueError):
+            itp_root(lambda t: t - 2.0, 0.0, 1.0)
+
+    def test_exact_zero_at_an_endpoint(self):
+        assert itp_root(lambda t: t, 0.0, 1.0) == 0.0
+        assert itp_root(lambda t: 1.0 - t, 0.0, 1.0) == 1.0

@@ -1,6 +1,8 @@
 """Scenario files: schema, defaults, path resolution, failure diagnostics."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +173,72 @@ class TestDiagnostics:
         with pytest.raises(qm.ScenarioError) as exc:
             load_scenario(p)
         assert str(p) in str(exc.value)
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("payload, where, key", [
+        ({**BASE, "incumbant": {"q1": 2.0}}, "scenario", "incumbant"),
+        ({**BASE, "prices ": {"p2": 0.3}}, "scenario", "prices "),
+        ({**BASE, "distribution": {"kind": "uniform", "beta": 1.0, "bta": 2.0}}, "distribution", "bta"),
+        ({**BASE, "distribution": {"kind": "uniform", "beta": 1.0, "file": "x.csv"}}, "distribution", "file"),
+        ({**BASE, "technologies": [{"name": "t", "qos": {"kind": "constant", "q": 1.0}, "costs": 0.1}]},
+         "technologies[0]", "costs"),
+        ({**BASE, "technologies": [{"name": "t", "qos": {"kind": "constant", "q": 1.0, "c": 0.1}}]},
+         "technologies[0].qos", "c"),
+        ({**BASE, "incumbent": {"q1": 2.0, "q2": 1.0}}, "incumbent", "q2"),
+        ({**BASE, "prices": {"p2": 0.3, "p3": 0.1}}, "prices", "p3"),
+        ({**BASE, "dynamics": {"variant": {"kind": "synchronous"}, "lambda0": 0.0, "tolerance": 1e-9}}, "dynamics", "tolerance"),
+        ({**BASE, "dynamics": {"variant": {"kind": "partial", "epsilon": 0.5, "eps": 0.1}, "lambda0": 0.0}},
+         "dynamics.variant", "eps"),
+    ])
+    def test_rejected_with_key_and_path(self, tmp_path, payload, where, key):
+        p = write(tmp_path, payload)
+        with pytest.raises(qm.ScenarioError) as exc:
+            load_scenario(p)
+        assert str(exc.value).startswith(f"{p}: {where}: unknown key {key!r}")
+
+    def test_metadata_is_free_form(self, tmp_path):
+        s = load_scenario(write(tmp_path, {**BASE, "metadata": {"anything": {"nested": [1, 2]}}}))
+        assert s.metadata == {"anything": {"nested": [1, 2]}}
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(heading, lang):
+    """The first ``lang`` code block under the README's ``## heading``."""
+    section = README.read_text().split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadmeContract:
+    def test_scenario_example_loads(self, tmp_path):
+        s = load_scenario(write(tmp_path, readme_block("Scenario files", "json")))
+        assert s.name == "split_duopoly"
+        assert [t.name for t in s.technologies] == ["split", "common"]
+        assert (s.q1, s.p1, s.p2) == (1.687, 0.58, 0.53)
+        assert s.dynamics.lambda0 == (0.0, 0.0) and s.dynamics.tol == 1e-12
+        assert s.metadata == {"anything": "opaque"}
+
+    def test_quick_start_values(self):
+        # every "expression  # value" line must print that value; "..." stands
+        # for the digits the README leaves out
+        code = readme_block("Quick start", "python")
+        ns = {}
+        exec(code, ns)
+        checked = {}
+        for line in code.splitlines():
+            m = re.match(r"([^=#]+?)\s+#\s+(\(.*?\)|[-\d.e]+)", line)
+            if m:
+                expr, want = m.groups()
+                got = eval(expr, ns)
+                shown = repr(tuple(float(v) if isinstance(v, float) else v for v in got)
+                             if isinstance(got, tuple) else got)
+                assert re.fullmatch(re.escape(want).replace(r"\.\.\.", r"\d*"), shown), (expr, want, shown)
+                checked[expr] = want
+        assert checked["qm.equilibrium(market)"] == "0.2549207697247766"
+        assert checked["best.price, best.share, best.revenue"] == "(0.8058..., 0.4930..., 0.3973...)"
+        assert len(checked) == 4
 
 
 class TestRelativePaths:
