@@ -2,16 +2,18 @@
 
 Every solver in the package funnels through :func:`bisect_root` and
 :func:`scan_then_bisect`: fixed tolerances, no randomness, ties resolved
-toward the smaller argument.  The maximizer places its root with
-:func:`itp_root`, which never takes more than one evaluation beyond
-bisection and converges superlinearly on smooth slopes.  The
-derivative-free :func:`scan_then_refine` is the reference for functions
+toward the smaller argument.  The maximizer refines a scan its caller
+has made: to a kink where the slope jumps through zero, or to the root of
+the slope placed by :func:`itp_root`, which never takes more than one
+evaluation beyond bisection and converges superlinearly on smooth slopes.
+The derivative-free :func:`scan_then_refine` is the reference for functions
 without an analytic slope.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Callable
 
 import numpy as np
@@ -56,7 +58,15 @@ def bisect_root(
     return 0.5 * (lo + hi)
 
 
-def itp_root(fn: Callable[[float], float], lo: float, hi: float, *, xtol: float = 1e-12) -> float:
+def itp_root(
+    fn: Callable[[float], float],
+    lo: float,
+    hi: float,
+    *,
+    xtol: float = 1e-12,
+    flo: float | None = None,
+    fhi: float | None = None,
+) -> float:
     """Root of a continuous function on a bracket [lo, hi], lo < hi, by ITP.
 
     Interpolate (regula falsi), truncate toward the midpoint, project into
@@ -64,14 +74,18 @@ def itp_root(fn: Callable[[float], float], lo: float, hi: float, *, xtol: float 
     with kappa1 = 0.2 / (hi - lo), kappa2 = 2, n0 = 1): at most one
     evaluation more than :func:`bisect_root` with the same ``xtol``.
     Probes keep ``xtol / 2`` clear of the bracket ends, so that rounding
-    cannot spend evaluations on an end already known.  Returns the midpoint of the final bracket, at most ``xtol`` wide, or an
-    endpoint or probe where ``fn`` is exactly zero; raises ValueError if the
-    endpoints do not bracket a root.
+    cannot spend evaluations on an end already known.  ``flo`` and ``fhi``,
+    when given, are ``fn(lo)`` and ``fn(hi)``, which are then not evaluated
+    again.  Returns the midpoint of the final bracket, at most ``xtol``
+    wide, or an endpoint or probe where ``fn`` is exactly zero; raises
+    ValueError if the endpoints do not bracket a root.
     """
-    flo = fn(lo)
+    if flo is None:
+        flo = fn(lo)
     if flo == 0.0:
         return lo
-    fhi = fn(hi)
+    if fhi is None:
+        fhi = fn(hi)
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
@@ -159,21 +173,38 @@ def scan_then_refine(
     return float(x), fx
 
 
-def scan_then_bisect(fn: Callable, slope: Callable[[float], float], lo: float, hi: float, num: int) -> float:
-    """Coarse grid scan, then the root of ``slope`` around the best grid point.
+def scan_then_bisect(
+    fn: Callable, slope: Callable[[float], float], xs: np.ndarray, vals: np.ndarray, kinks=()
+) -> float:
+    """The maximum of ``fn`` around the best point of its scan ``vals = fn(xs)``.
 
-    ``fn`` must accept numpy arrays; ``slope`` is its derivative at a
-    scalar.  Where the slope falls through zero across the two cells around
-    the first grid maximum, :func:`itp_root` places the maximum to 1e-15;
-    that point is returned if its value is at least the grid maximum,
+    ``xs`` is an ascending grid and ``fn`` is evaluated at scalars only;
+    ``slope`` is its derivative at a scalar.  Where the slope falls through
+    zero across the two cells around the first grid maximum, the maximum is
+    the first of the ascending ``kinks`` (points where the slope may jump)
+    inside those cells at which it changes sign, else the root that
+    :func:`itp_root` places to 1e-15 from the two end slopes already in
+    hand; that point is returned if its value is at least the grid maximum,
     otherwise the grid point is.
     """
-    xs = np.linspace(lo, hi, num)
-    vals = np.asarray(fn(xs), dtype=float)
     i = int(np.argmax(vals))
-    a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, num - 1)])
-    if slope(a) >= 0.0 >= slope(b):
-        x = itp_root(slope, a, b, xtol=1e-15)
-        if float(fn(x)) >= vals[i]:
-            return x
+    a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
+    sa = slope(a)
+    if sa >= 0.0:
+        sb = slope(b)
+        if 0.0 >= sb:
+            x = _kink_root(slope, kinks, a, b)
+            if x is None:
+                x = itp_root(slope, a, b, xtol=1e-15, flo=sa, fhi=sb)
+            if float(fn(x)) >= vals[i]:
+                return x
     return float(xs[i])
+
+
+def _kink_root(slope: Callable[[float], float], kinks, a: float, b: float) -> float | None:
+    """The first kink strictly inside (a, b) where ``slope`` is >= 0 just left
+    of it and <= 0 at it, or None."""
+    for k in kinks[bisect_right(kinks, a):bisect_left(kinks, b)]:
+        if slope(math.nextafter(k, -math.inf)) >= 0.0 >= slope(k):
+            return k
+    return None

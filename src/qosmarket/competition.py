@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -64,6 +65,13 @@ class CournotGame:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q1", _check_incumbent(self.q1, self.qos2, "entrant"))
+        _check_entrant_span(self.qos2, "entrant")
+
+
+def _check_entrant_span(qos2: QoSModel, entrant: str) -> None:
+    """Competing shares start at 0, so the entrant's curve must too."""
+    if qos2.domain[0] != 0.0:
+        raise ModelError(f"{entrant} curve spans {list(qos2.domain)}, must start at share 0")
 
 
 @dataclass(frozen=True)
@@ -134,16 +142,41 @@ def revenues(game: CournotGame, lam1: float, lam2: float) -> tuple[float, float]
 def _revenue_surface(dist: ValuationDistribution, qos2: QoSModel, own, other, q1: float | None) -> np.ndarray:
     """Own revenue over own and rival shares, broadcast: the incumbent's when
     ``q1`` is given, else the entrant's (against an empty rival, the monopoly
-    revenue); zero where the shares exceed the market."""
+    revenue); zero where the shares exceed the market.  A float ``own``
+    takes the same expressions in pure Python, for the maximizers' probes."""
+    if isinstance(own, float):
+        rest = 1.0 - own - other
+        if not rest >= 0.0:
+            return 0.0
+        a2 = dist.quantile(min(rest, 1.0))
+        if q1 is None:
+            return own * a2 * qos2.evaluate(own)
+        g = qos2.evaluate(other)
+        return own * (dist.quantile(min(max(1.0 - own, 0.0), 1.0)) * (q1 - g) + a2 * g)
     own = np.asarray(own, dtype=float)
+    return _surface_from_column(dist, qos2, own, _own_column(dist, qos2, own, q1), other, q1)
+
+
+def _own_column(dist: ValuationDistribution, qos2: QoSModel, own: np.ndarray, q1: float | None):
+    """The factor of the revenue surface that only the own share moves:
+    ``quantile(1 - own)`` for the incumbent, ``g(own)`` for the entrant."""
+    if q1 is None:
+        return qos2.evaluate(own)
+    return dist.quantile(np.clip(1.0 - own, 0.0, 1.0))
+
+
+def _surface_from_column(
+    dist: ValuationDistribution, qos2: QoSModel, own: np.ndarray, column, other, q1: float | None
+) -> np.ndarray:
+    """:func:`_revenue_surface` given ``column = _own_column(dist, qos2, own, q1)``."""
     rest = 1.0 - own - other
     feasible = rest >= 0.0
     a2 = dist.quantile(np.where(feasible, np.clip(rest, 0.0, 1.0), 0.0))
     if q1 is None:
-        r = own * a2 * qos2.evaluate(own)
+        r = own * a2 * column
     else:
         g = qos2.evaluate(other)
-        r = own * (dist.quantile(np.clip(1.0 - own, 0.0, 1.0)) * (q1 - g) + a2 * g)
+        r = own * (column * (q1 - g) + a2 * g)
     return np.where(feasible, r, 0.0)
 
 
@@ -177,24 +210,40 @@ def best_response(game: CournotGame, player: int, lam_other: float) -> float:
     Requires a non-increasing valuation density, under which the result
     is guaranteed to lie in (0, 1/2].  Scans 2,001 grid points on
     [0, 1/2], then finds the root of the analytic revenue slope in the two
-    cells around the best grid point; ties resolve toward the smaller
+    cells around the best grid point (or the node of the entrant's curve
+    where that slope jumps through zero); ties resolve toward the smaller
     share.
+    """
+    return _responder(game, player)(lam_other)
+
+
+def _responder(game: CournotGame, player: int) -> Callable[[float], float]:
+    """``player``'s :func:`best_response` as a function of the rival share.
+
+    The share grid and the surface's own-share column do not depend on the
+    rival, so they are built here once; each call computes only the
+    rival-dependent ``quantile(1 - own - other)`` column and the root.
     """
     if player not in (1, 2):
         raise DomainError(f"player must be 1 or 2, got {player!r}")
-    other = float(lam_other)
-    if not math.isfinite(other) or not 0.0 <= other < 1.0:
-        raise DomainError(f"rival share outside [0, 1): {lam_other!r}")
     if not game.dist.is_nonincreasing_pdf():
         raise ModelError("best response guarantees need a non-increasing density")
-    hi = 0.5
-    if player == 2:
-        hi = min(hi, game.qos2.domain[1])
-    dist, qos2, q1 = game.dist, game.qos2, (game.q1 if player == 1 else None)
-    best = scan_then_bisect(lambda lam: _revenue_surface(dist, qos2, lam, other, q1),
-                            lambda lam: _revenue_slope(dist, qos2, lam, other, q1), 0.0, hi, _BR_SCAN)
-    assert 0.0 < best <= 0.5, f"best response {best} escaped (0, 1/2]"
-    return best
+    dist, qos2 = game.dist, game.qos2
+    q1, kinks = (game.q1, ()) if player == 1 else (None, qos2.nodes)
+    xs = np.linspace(0.0, 0.5 if player == 1 else min(0.5, qos2.domain[1]), _BR_SCAN)
+    column = _own_column(dist, qos2, xs, q1)
+
+    def respond(lam_other: float) -> float:
+        other = float(lam_other)
+        if not math.isfinite(other) or not 0.0 <= other < 1.0:
+            raise DomainError(f"rival share outside [0, 1): {lam_other!r}")
+        best = scan_then_bisect(lambda lam: _revenue_surface(dist, qos2, lam, other, q1),
+                                lambda lam: _revenue_slope(dist, qos2, lam, other, q1),
+                                xs, _surface_from_column(dist, qos2, xs, column, other, q1), kinks)
+        assert 0.0 < best <= 0.5, f"best response {best} escaped (0, 1/2]"
+        return best
+
+    return respond
 
 
 def best_response_closed(
@@ -276,8 +325,8 @@ def supermodularity_check(game: CournotGame) -> SupermodularityReport:
     )
 
 
-def _br_pair(game: CournotGame):
-    """Best-response functions, closed-form when available."""
+def _closed_pair(game: CournotGame):
+    """Closed-form best-response functions, or None where there are none."""
     if (
         game.dist.is_uniform()
         and game.qos2.kind is QoSKind.LINEAR
@@ -288,10 +337,7 @@ def _br_pair(game: CournotGame):
             lambda lam2: best_response_closed(q1, qb, c, 1, lam2),
             lambda lam1: best_response_closed(q1, qb, c, 2, lam1),
         )
-    return (
-        lambda lam2: best_response(game, 1, lam2),
-        lambda lam1: best_response(game, 2, lam1),
-    )
+    return None
 
 
 def nash_solve(
@@ -304,7 +350,12 @@ def nash_solve(
 
     One round updates the incumbent and then the entrant.  On
     convergence the point is verified as an equilibrium by re-optimizing
-    each player numerically (improvements below 1e-8 required).  Raises
+    each player numerically (improvements below 1e-8 required).  Each
+    player's numerical best response is built once per solve: the share
+    grid and the own-share column of its revenue scan serve every round
+    and the verification, and each round computes only the column that
+    moves with the rival.  Rounds use the closed forms instead where they
+    exist (uniform valuations, a congested linear entrant curve).  Raises
     NonConvergenceError (carrying the visited path) if the round budget
     runs out.  The supermodularity certificate that makes the iteration
     reliable belongs to the game: ``supermodularity_check(game)``.
@@ -312,9 +363,13 @@ def nash_solve(
     l1, l2 = float(start[0]), float(start[1])
     if not (0.0 <= l1 <= 0.5 and 0.0 <= l2 <= 0.5):
         raise DomainError(f"start must lie in [0, 1/2]^2, got {start!r}")
+    if l2 > game.qos2.domain[1]:
+        raise DomainError(f"start={start!r}: entrant share beyond the entrant curve's span "
+                          f"{list(game.qos2.domain)}")
     if not game.dist.is_nonincreasing_pdf():
         raise ModelError("equilibrium guarantees need a non-increasing density")
-    br1, br2 = _br_pair(game)
+    resp1, resp2 = _responder(game, 1), _responder(game, 2)
+    br1, br2 = _closed_pair(game) or (resp1, resp2)
     path = [(l1, l2)]
     rounds = 0
     converged = False
@@ -332,8 +387,8 @@ def nash_solve(
             f"best-response iteration did not converge in {max_rounds} rounds", path
         )
     r1, r2 = revenues(game, l1, l2)
-    alt1 = best_response(game, 1, l2)
-    alt2 = best_response(game, 2, l1)
+    alt1 = resp1(l2)
+    alt2 = resp2(l1)
     best_r1 = revenues(game, alt1, l2)[0]
     best_r2 = revenues(game, l1, alt2)[1]
     if best_r1 - r1 >= _VERIFY_TOL or best_r2 - r2 >= _VERIFY_TOL:

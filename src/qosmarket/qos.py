@@ -152,6 +152,12 @@ class QoSModel:
         """Share interval on which the curve is defined."""
         return self._x[0], self._x[-1]
 
+    @property
+    def nodes(self) -> tuple[float, ...]:
+        """Share positions of the curve's nodes, ascending; the slope may
+        jump at the interior ones."""
+        return self._x
+
     def max_value(self) -> float:
         """Largest quality, attained at the low end of the domain."""
         return self._q[0]

@@ -99,7 +99,8 @@ def optimize(dist: ValuationDistribution, qos: QoSModel) -> RevenueOptimum:
 
     Revenue is the entrant's against an empty rival.  Scans 2,001 grid
     points, then finds the root of the analytic revenue slope in the two
-    cells around the best grid point; ties resolve toward the smaller
+    cells around the best grid point, or the node of the quality curve
+    where that slope jumps through zero; ties resolve toward the smaller
     share.  With a non-increasing density the scan is restricted to
     [0, 1/2], where the optimum is known to lie.
     """
@@ -107,8 +108,10 @@ def optimize(dist: ValuationDistribution, qos: QoSModel) -> RevenueOptimum:
     hi = min(hi, 0.5) if dist.is_nonincreasing_pdf() else hi
     if not lo < hi:
         raise ModelError("quality curve domain too small to optimize over")
+    xs = np.linspace(lo, hi, _SCAN_POINTS)
     share = scan_then_bisect(lambda lam: _revenue_surface(dist, qos, lam, 0.0, None),
-                             lambda lam: _revenue_slope(dist, qos, lam, 0.0, None), lo, hi, _SCAN_POINTS)
+                             lambda lam: _revenue_slope(dist, qos, lam, 0.0, None),
+                             xs, _revenue_surface(dist, qos, xs, 0.0, None), qos.nodes)
     alpha = dist.quantile(1.0 - share)
     price = alpha * qos.evaluate(share)
     return RevenueOptimum(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .competition import CournotGame, nash_solve
+from .competition import CournotGame, _check_entrant_span, nash_solve
 from .duopoly import _check_incumbent
 from .errors import ModelError
 from .qos import Technology
@@ -59,6 +59,7 @@ class SelectionProblem:
             for t in techs:
                 if t.is_entry:
                     q1 = _check_incumbent(self.q1, t.qos, f"technology {t.name!r}")
+                    _check_entrant_span(t.qos, f"technology {t.name!r}")
             object.__setattr__(self, "q1", q1)  # at least one entry exists
 
     def ordered(self) -> tuple[Technology, ...]:

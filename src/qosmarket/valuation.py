@@ -200,15 +200,25 @@ class ValuationDistribution:
         uu = np.asarray(u, dtype=float)
         if not np.all((uu >= 0.0) & (uu <= 1.0)):
             raise DomainError(f"probability outside [0, 1]: {u!r}")
-        x, f, cum, slope = self._arrays
+        x, _, cum, _ = self._arrays
+        cum_j, f_j, x_j, two_s, step = self._entries
         i = _table.indices(cum, uu)
-        s = slope[i]
-        j = i + (s > 0.0)
-        r = np.abs(uu - cum[j])
-        fj = f[j]
-        d = 2.0 * r / (fj + np.sqrt(np.maximum(fj * fj - 2.0 * np.abs(s) * r, 0.0)))
-        out = np.minimum(np.maximum(np.where(s > 0.0, x[j] - d, x[j] + d), x[i]), x[i + 1])
+        r = np.abs(uu - cum_j[i])
+        fj = f_j[i]
+        d = 2.0 * r / (fj + np.sqrt(np.maximum(fj * fj - two_s[i] * r, 0.0)))
+        out = np.minimum(np.maximum(x_j[i] + step[i] * d, x[:-1][i]), x[1:][i])
         return np.where((uu == 0.0) | (uu == 1.0), self._beta * uu, out)
+
+    @cached_property
+    def _entries(self) -> tuple[np.ndarray, ...]:
+        """Per segment, what the array :meth:`quantile` gathers: the cdf,
+        density and position of the node it enters from, ``2|slope|`` and
+        the direction of the walk (-1 from the right node, +1 from the
+        left; ``x - d`` and ``x + -1 * d`` round alike)."""
+        x, f, cum, slope = self._arrays
+        up = slope > 0.0
+        j = np.arange(slope.size) + up
+        return _table.frozen_arrays(cum[j], f[j], x[j], 2.0 * np.abs(slope), np.where(up, -1.0, 1.0))
 
     # -- derived constants ----------------------------------------------
 
@@ -234,6 +244,11 @@ class ValuationDistribution:
 
     def is_nonincreasing_pdf(self) -> bool:
         """True when the density never increases across its samples."""
+        return self._nonincreasing
+
+    @cached_property
+    def _nonincreasing(self) -> bool:
+        # the density is immutable: walk the node pairs once per instance
         return all(f1 - f0 <= _MONOTONE_SLACK for f0, f1 in zip(self._f, self._f[1:]))
 
     def __repr__(self) -> str:

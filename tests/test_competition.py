@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qosmarket as qm
+from qosmarket._optim import scan_then_bisect
 from qosmarket.competition import (
     DEFAULT_STARTS,
+    _responder,
     _revenue_slope,
     _revenue_surface,
     inverse_demand,
@@ -288,6 +292,20 @@ class TestNash:
         with pytest.raises(qm.DomainError):
             qm.nash_solve(linear_game(), (-0.1, 0.1), 100, 1e-10)
 
+    def test_entrant_curve_must_start_at_share_zero(self, triangle):
+        late = qm.QoSModel.tabulated([0.1, 1.0], [1.0, 0.8])
+        with pytest.raises(qm.ModelError, match=r"\[0\.1, 1\.0\]"):
+            qm.CournotGame(triangle, 1.2, late)
+
+    def test_start_beyond_the_entrant_span(self, triangle):
+        # the first incumbent response would evaluate g(0.4) on a curve
+        # that ends at 0.3; the start is named instead
+        game = qm.CournotGame(triangle, 1.2, qm.QoSModel.tabulated([0.0, 0.3], [1.0, 0.9]))
+        with pytest.raises(qm.DomainError, match=r"start.*\[0\.0, 0\.3\]"):
+            qm.nash_solve(game, (0.25, 0.4))
+        out = qm.nash_solve(game, (0.25, 0.3))
+        assert 0.0 < out.lam2 <= 0.3
+
     def test_solve_leaves_the_certificate_to_the_game(self, monkeypatch, triangle, split_qos):
         def refuse(game):
             raise AssertionError("supermodularity_check called")
@@ -329,3 +347,71 @@ class TestNashRobustness:
                 b = qm.best_response(game, player, other)
                 q1 = game.q1 if player == 1 else None
                 assert abs(_revenue_slope(triangle, game.qos2, b, other, q1)) < 1e-12
+
+
+def seeded_custom_game(seed: int) -> qm.CournotGame:
+    """A custom-density game; every other entrant curve is tabulated, so the
+    entrant's revenue slope jumps at its nodes."""
+    rng = np.random.default_rng(seed)
+    dist = random_nonincreasing_density(rng)
+    q_bar = rng.uniform(0.8, 1.6)
+    if seed % 2:
+        lams = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, 4)), [1.0]))
+        qos = qm.QoSModel.tabulated(lams, q_bar * (1.0 - np.sort(rng.uniform(0.0, 0.4, 6))))
+    else:
+        qos = qm.QoSModel.linear(q_bar, rng.uniform(0.02, 0.4) * q_bar)
+    return qm.CournotGame(dist, q_bar * rng.uniform(1.05, 1.5), qos)
+
+
+def rebuilt_response(game: qm.CournotGame, player: int, other: float) -> float:
+    """The best response with the whole revenue surface evaluated afresh."""
+    q1 = game.q1 if player == 1 else None
+    xs = np.linspace(0.0, 0.5 if player == 1 else min(0.5, game.qos2.domain[1]), 2_001)
+
+    def surface(lam):
+        return _revenue_surface(game.dist, game.qos2, lam, other, q1)
+
+    return scan_then_bisect(surface, lambda lam: _revenue_slope(game.dist, game.qos2, lam, other, q1),
+                            xs, surface(xs), () if player == 1 else game.qos2.nodes)
+
+
+class TestOncePerSolveScan:
+    """Each player's grid and own-share column are built once per solve."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 2**16), st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4))
+    def test_built_response_matches_best_response_bit_for_bit(self, seed, others):
+        game = seeded_custom_game(seed)
+        for player in (1, 2):
+            respond = _responder(game, player)
+            for other in others:
+                b = respond(other)
+                assert b == qm.best_response(game, player, other)
+                assert b == rebuilt_response(game, player, other)
+
+    def test_scalar_probe_matches_the_array_surface(self):
+        own = np.linspace(0.0, 0.5, 101)
+        for seed in range(6):
+            game = seeded_custom_game(seed)
+            for q1 in (game.q1, None):
+                for other in (0.0, 0.3, 0.7):  # 0.7: past the market's end
+                    surface = _revenue_surface(game.dist, game.qos2, own, other, q1)
+                    probes = [_revenue_surface(game.dist, game.qos2, float(o), other, q1) for o in own]
+                    assert np.array(probes).tobytes() == surface.tobytes()
+
+    def test_custom_solve_makes_two_array_quantiles_per_round(self, monkeypatch, triangle, split_qos):
+        # one rival-dependent column per best response, plus the incumbent's
+        # own-share column once and the two verification responses
+        quantile = qm.ValuationDistribution.quantile
+        sizes = []
+
+        def counting(self, u):
+            if np.ndim(u) > 0:
+                sizes.append(np.size(u))
+            return quantile(self, u)
+
+        monkeypatch.setattr(qm.ValuationDistribution, "quantile", counting)
+        out = qm.nash_solve(qm.CournotGame(triangle, 1.687, split_qos))
+        assert out.iterations > 5
+        assert len(sizes) == 2 * out.iterations + 3
+        assert set(sizes) == {2_001}

@@ -8,7 +8,7 @@ import pytest
 import qosmarket as qm
 from qosmarket import _optim
 from qosmarket._optim import bisect_root, itp_root, scan_then_bisect, scan_then_refine
-from qosmarket.competition import _revenue_slope
+from qosmarket.competition import _revenue_slope, _revenue_surface
 from qosmarket.revenue import price_from_marginal, revenue_at_price, revenue_curve
 from test_acceptance import random_nonincreasing_density
 
@@ -273,20 +273,68 @@ class TestExactOptimum:
             assert opt.revenue >= scan.max() * (1.0 - 1e-12)
 
 
+def scanned(fn, slope, lo, hi, num):
+    """:func:`scan_then_bisect` on ``fn``'s scan over ``num`` points of [lo, hi]."""
+    xs = np.linspace(lo, hi, num)
+    return scan_then_bisect(fn, slope, xs, np.asarray(fn(xs), dtype=float))
+
+
 class TestScanThenBisect:
     def test_kink_maximum(self):
         # slope jumps from +1 to -2 at 0.3: the root of the slope is the kink
-        x = scan_then_bisect(lambda t: np.minimum(t, 0.9 - 2.0 * t),
-                             lambda t: 1.0 if t < 0.3 else -2.0, 0.0, 1.0, 11)
+        x = scanned(lambda t: np.minimum(t, 0.9 - 2.0 * t),
+                    lambda t: 1.0 if t < 0.3 else -2.0, 0.0, 1.0, 11)
         assert abs(x - 0.3) <= 1e-15
 
     def test_grid_point_when_slope_keeps_its_sign(self):
-        assert scan_then_bisect(lambda t: t, lambda t: 1.0, 0.0, 1.0, 11) == 1.0
+        assert scanned(lambda t: t, lambda t: 1.0, 0.0, 1.0, 11) == 1.0
 
     def test_grid_point_when_the_root_is_worse(self):
         # a slope whose root (0.45) is not the maximum cannot lower the grid value
-        x = scan_then_bisect(lambda t: -(t - 0.5) ** 2, lambda t: 0.45 - t, 0.0, 1.0, 11)
+        x = scanned(lambda t: -(t - 0.5) ** 2, lambda t: 0.45 - t, 0.0, 1.0, 11)
         assert x == 0.5
+
+
+@pytest.fixture
+def slope_shares(monkeypatch):
+    """The shares at which ``optimize`` evaluates the revenue slope."""
+    at = []
+
+    def slope(dist, qos2, own, other, q1):
+        at.append(own)
+        return _revenue_slope(dist, qos2, own, other, q1)
+
+    monkeypatch.setattr(qm.revenue, "_revenue_slope", slope)
+    return at
+
+
+class TestKinkMaximum:
+    # uniform valuations: revenue (1 - lam) lam g(lam) rises into the node at
+    # 0.29917 (slope about +0.38) and falls after it, where g drops by 0.48
+    # over 0.1 (slope about -0.6)
+    KINKED = ([0.0, 0.29917, 0.4, 1.0], [1.0, 0.98, 0.5, 0.4])
+
+    def test_optimum_at_a_curve_node_is_the_node(self, uniform1, slope_shares):
+        opt = qm.optimize(uniform1, qm.QoSModel.tabulated(*self.KINKED))
+        assert opt.share == 0.29917
+        assert len(slope_shares) <= 4
+
+    def test_root_search_alone_lands_within_1e15_of_the_node(self, uniform1):
+        qos = qm.QoSModel.tabulated(*self.KINKED)
+        x = scanned(lambda lam: _revenue_surface(uniform1, qos, lam, 0.0, None),
+                    lambda lam: _revenue_slope(uniform1, qos, lam, 0.0, None), 0.0, 0.5, 2_001)
+        assert x != 0.29917
+        assert abs(x - 0.29917) <= 1e-15
+
+    def test_no_slope_point_is_evaluated_twice(self, slope_shares):
+        # the end slopes of the sign test go on to itp_root as they are
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            slope_shares.clear()
+            qos = qm.QoSModel.linear(rng.uniform(0.8, 1.6), rng.uniform(0.02, 0.5))
+            qm.optimize(random_nonincreasing_density(rng), qos)
+            assert len(slope_shares) > 2
+            assert len(set(slope_shares)) == len(slope_shares)
 
 
 def counted(fn):
@@ -343,3 +391,15 @@ class TestItpRoot:
     def test_exact_zero_at_an_endpoint(self):
         assert itp_root(lambda t: t, 0.0, 1.0) == 0.0
         assert itp_root(lambda t: 1.0 - t, 0.0, 1.0) == 1.0
+
+    def test_given_end_values_are_not_evaluated(self):
+        def fn(t):
+            return math.cos(3.0 * t) - t
+
+        given, fresh = counted(fn), counted(fn)
+        x = itp_root(given, 0.1, 0.6, xtol=1e-15, flo=fn(0.1), fhi=fn(0.6))
+        assert itp_root(fresh, 0.1, 0.6, xtol=1e-15) == x
+        assert 0.1 not in given.xs and 0.6 not in given.xs
+        assert fresh.xs[:2] == [0.1, 0.6]
+        assert given.xs == fresh.xs[2:]
+        assert itp_root(counted(fn), 0.1, 0.6, flo=0.0) == 0.1

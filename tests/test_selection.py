@@ -53,6 +53,13 @@ class TestProblemValidation:
             qm.Technology("a", split_qos, 0.1)))
         assert [t.name for t in p.ordered()] == ["a", "not-enter"]
 
+    def test_incumbent_needs_entrant_curves_from_share_zero(self, uniform1):
+        late = qm.Technology("late", qm.QoSModel.tabulated([0.2, 1.0], [1.0, 0.8]), 0.0)
+        techs = (late, qm.Technology.stay_out())
+        with pytest.raises(qm.ModelError, match=r"'late' curve spans \[0\.2, 1\.0\]"):
+            qm.SelectionProblem(uniform1, techs, q1=2.0)
+        qm.SelectionProblem(uniform1, techs)  # alone, the entrant prices on its span
+
 
 class TestTechnologyProfit:
     def test_staying_out_is_free(self, uniform1, split_qos):

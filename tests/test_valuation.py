@@ -195,6 +195,25 @@ class TestRoundTrips:
                 d.quantile(1.5)
 
 
+class TestNonincreasingVerdict:
+    """The density check runs once per instance, with the same verdict."""
+
+    @pytest.mark.parametrize("name, want", [
+        ("uniform", True), ("triangle", True), ("rising", False),
+        ("bump within the 1e-12 slack", True), ("bump beyond the slack", False)])
+    def test_verdict(self, name, want, triangle):
+        a = np.array([0.0, 0.5, 1.0])
+        dist = {
+            "uniform": lambda: qm.ValuationDistribution.uniform(2.0),
+            "triangle": lambda: triangle,
+            "rising": lambda: qm.ValuationDistribution.from_samples(a, 2.0 * a),
+            "bump within the 1e-12 slack": lambda: qm.ValuationDistribution.from_samples(a, [1.0, 1.0 + 5e-13, 1.0]),
+            "bump beyond the slack": lambda: qm.ValuationDistribution.from_samples(a, [1.0, 1.0 + 5e-12, 1.0]),
+        }[name]()
+        assert dist.is_nonincreasing_pdf() is want
+        assert dist.is_nonincreasing_pdf() is want  # the cached verdict
+
+
 class TestFromSamplesValidation:
     def test_grid_must_start_at_zero(self):
         with pytest.raises(qm.ModelError):
