@@ -212,7 +212,8 @@ def best_response(game: CournotGame, player: int, lam_other: float) -> float:
     [0, 1/2], then finds the root of the analytic revenue slope in the two
     cells around the best grid point (or the node of the entrant's curve
     where that slope jumps through zero); ties resolve toward the smaller
-    share.
+    share.  Raises DomainError when the incumbent's rival share lies
+    beyond the entrant curve's span.
     """
     return _responder(game, player)(lam_other)
 
@@ -237,6 +238,9 @@ def _responder(game: CournotGame, player: int) -> Callable[[float], float]:
         other = float(lam_other)
         if not math.isfinite(other) or not 0.0 <= other < 1.0:
             raise DomainError(f"rival share outside [0, 1): {lam_other!r}")
+        if player == 1 and other > qos2.domain[1]:
+            raise DomainError(f"rival share {lam_other!r} beyond the entrant curve's span "
+                              f"{list(qos2.domain)}")
         best = scan_then_bisect(lambda lam: _revenue_surface(dist, qos2, lam, other, q1),
                                 lambda lam: _revenue_slope(dist, qos2, lam, other, q1),
                                 xs, _surface_from_column(dist, qos2, xs, column, other, q1), kinks)

@@ -14,7 +14,8 @@ entrant, provided the entrant's price per quality beats the incumbent's
 incumbent serves the tail above ``p1/q1``.
 
 The entrant side of the update depends only on ``lam2``, so the
-equilibrium reduces to a one-dimensional root problem.
+equilibrium reduces to a one-dimensional root problem, which an ITP
+root solves to 1e-15.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._optim import bisect_root
+from ._optim import itp_root
 from .errors import DomainError, ModelError
-from .monopoly import ConditionReport, DynamicsTrace, _EQ_FTOL, _EQ_XTOL, _iterate
+from .monopoly import ConditionReport, DynamicsTrace, _EQ_XTOL, _check_full_span, _iterate
 from .qos import QoSModel
 from .valuation import ValuationDistribution
 
@@ -143,10 +144,14 @@ def equilibrium_duopoly(market: DuopolyMarket) -> DuopolyEquilibrium:
 
     The entrant is shut out exactly when its price per quality is no
     better than the incumbent's even with an empty network:
-    ``p1/q1 <= p2/g(0)``.  Otherwise the entrant share solves a
-    one-dimensional root problem (the entrant update never depends on
-    the incumbent share) and the incumbent share follows from theta1.
+    ``p1/q1 <= p2/g(0)``.  Otherwise the entrant share is the root of
+    ``h(lam2) - lam2``, where ``h`` is the entrant's next share (it never
+    depends on the incumbent share); the difference falls strictly, and
+    :func:`itp_root` places its root to 1e-15.  The incumbent share then
+    follows from theta1.  Raises ModelError unless the entrant curve spans
+    [0, 1].
     """
+    _check_full_span(market.qos2, "entrant")
     F = market.dist.cdf
     g0 = market.qos2.evaluate(0.0)
     if market.p1 / market.q1 <= market.p2 / g0:
@@ -163,7 +168,7 @@ def equilibrium_duopoly(market: DuopolyMarket) -> DuopolyEquilibrium:
         theta1 = (market.p1 - market.p2) / (market.q1 - g)
         return F(theta1) - F(market.p2 / g) - lam2
 
-    lam2 = bisect_root(h_tilde, 0.0, 1.0, ftol=_EQ_FTOL, xtol=_EQ_XTOL)
+    lam2 = itp_root(h_tilde, 0.0, 1.0, xtol=_EQ_XTOL)
     g = market.qos2.evaluate(lam2)
     theta1 = (market.p1 - market.p2) / (market.q1 - g)
     theta2 = market.p2 / g

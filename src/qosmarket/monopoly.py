@@ -7,11 +7,13 @@ price: a user with valuation ``alpha`` subscribes when
 
     h(lam) = 1 - F(p / g(lam))
 
-is non-increasing and has exactly one fixed point, which
-:func:`equilibrium` locates by bisection.  Variants of the update rule
-cover partial adjustment (only a fraction of users re-evaluate each
-period), switching costs (join and leave both cost extra), and a
-positive network externality added to the utility.
+is non-increasing and has exactly one fixed point.  In valuation terms
+the fixed point is the marginal user ``a`` with ``a * g(1 - F(a)) = p``,
+and that map rises strictly in ``a``: :func:`equilibrium` and
+:func:`switching_cost_equilibrium_band` both invert it.  Variants of the
+update rule cover partial adjustment (only a fraction of users
+re-evaluate each period), switching costs (join and leave both cost
+extra), and a positive network externality added to the utility.
 
 :func:`convergence_condition` and friends report sufficient conditions
 under which the iteration is a contraction and therefore converges from
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import bisect_root
+from ._optim import itp_root
 from .errors import DomainError, ModelError
 from .qos import QoSKind, QoSModel
 from .valuation import ValuationDistribution
@@ -51,9 +53,7 @@ __all__ = [
     "switching_cost_equilibrium_band",
 ]
 
-_EQ_FTOL = 1e-12
 _EQ_XTOL = 1e-15
-_BAND_GRID = 10_001
 
 
 @dataclass(frozen=True)
@@ -304,18 +304,38 @@ def _iterate(update, state, share0, share, distance, max_iter: int, tol: float) 
 def equilibrium(market: MonopolyMarket) -> float:
     """The unique fixed point of the synchronous share map.
 
-    Free service captures everyone; a price at or above ``beta * g(0)``
-    captures no one; otherwise the root of ``h(lam) - lam`` is found by
-    bisection on [0, 1] to |h - lam| < 1e-12.
+    The share is ``1 - F(a)`` for the marginal valuation ``a`` that solves
+    ``a * g(1 - F(a)) = p`` (:func:`_threshold`): everyone at price 0, no
+    one at ``beta * g(0)`` or above.  Raises ModelError unless the curve
+    spans [0, 1].
     """
-    p = market.price
-    if p == 0.0:
-        return 1.0
-    if p >= market.dist.beta * market.qos.evaluate(0.0):
+    _check_full_span(market.qos, "quality")
+    return 1.0 - market.dist.cdf(_threshold(market, market.price))
+
+
+def _check_full_span(qos: QoSModel, curve: str) -> None:
+    """Equilibrium shares range over [0, 1], so the curve must span it."""
+    if qos.domain != (0.0, 1.0):
+        raise ModelError(f"{curve} curve spans {list(qos.domain)}, equilibria need [0, 1]")
+
+
+def _threshold(market: MonopolyMarket, target: float) -> float:
+    """The valuation ``a`` in [0, beta] with ``a * g(1 - F(a)) = target``.
+
+    That map rises strictly from 0 at ``a = 0`` to ``beta * g(0)`` at beta
+    (``a`` rises while ``g(1 - F(a))`` does not fall), so the answer is 0
+    for targets up to 0, beta for targets from ``beta * g(0)`` on, and
+    otherwise the one root, which :func:`itp_root` places to 1e-15.
+    """
+    if target <= 0.0:
         return 0.0
-    return bisect_root(
-        lambda lam: step(market, lam) - lam, 0.0, 1.0, ftol=_EQ_FTOL, xtol=_EQ_XTOL
-    )
+    dist, qos = market.dist, market.qos
+    beta = dist.beta
+    top = beta * qos.evaluate(0.0)
+    if target >= top:
+        return beta
+    return itp_root(lambda a: a * qos.evaluate(1.0 - dist.cdf(a)) - target, 0.0, beta,
+                    xtol=_EQ_XTOL, flo=-target, fhi=top - target)
 
 
 def equilibrium_closed_form(
@@ -328,7 +348,9 @@ def equilibrium_closed_form(
         lam* = (q_bar + c - sqrt((q_bar - c)^2 + 4 c p / beta)) / (2 c)
 
     for prices up to ``beta * q_bar`` and 0 above; with c = 0 it reduces
-    to ``max(0, 1 - p / (beta * q_bar))``.
+    to ``max(0, 1 - p / (beta * q_bar))``.  It is evaluated as
+    ``2 (q_bar - p / beta) / (q_bar + c + sqrt(...))``, the same root
+    without the cancellation that loses every digit as c shrinks.
     """
     if not dist.is_uniform():
         raise ModelError("closed form requires uniform valuations")
@@ -345,7 +367,7 @@ def equilibrium_closed_form(
     if p > beta * q_bar:
         return 0.0
     disc = (q_bar - c) ** 2 + 4.0 * c * p / beta
-    return max(0.0, (q_bar + c - math.sqrt(disc)) / (2.0 * c))
+    return max(0.0, 2.0 * (q_bar - p / beta) / (q_bar + c + math.sqrt(disc)))
 
 
 # --------------------------------------------------------------------------
@@ -428,51 +450,20 @@ def switching_cost_equilibrium_band(
 
     A threshold ``a`` is stationary when staying and joining both fail to
     move anyone: ``(p - cost)/g(lam(a)) <= a <= (p + cost)/g(lam(a))``
-    with ``lam(a) = 1 - F(a)``.  The threshold update also pins ``a = beta``
-    whenever even the quit threshold exceeds beta.  With zero cost the
-    band collapses to the single equilibrium threshold.
-
-    Interval ends are located on a 10,001-point grid over [0, beta] and
-    sharpened by bisection to 1e-12.
+    with ``lam(a) = 1 - F(a)``, i.e. ``p - cost <= a * g(lam(a)) <= p +
+    cost``.  That map rises strictly, so the rest points form the one
+    interval between the thresholds of :func:`_threshold` at ``p - cost``
+    and ``p + cost``, which is ``[beta, beta]`` when even the quit
+    threshold exceeds beta (the update pins ``a = beta`` there).  With
+    zero cost the band collapses to the equilibrium threshold.  Raises
+    ModelError unless the curve spans [0, 1].
     """
     c_s = float(cost)
     if not math.isfinite(c_s) or c_s < 0.0:
         raise DomainError(f"switching cost must be >= 0, got {cost}")
-    beta = market.dist.beta
+    _check_full_span(market.qos, "quality")
     p = market.price
-    if c_s == 0.0:
-        lam_star = equilibrium(market)
-        a_star = min(p / market.qos.evaluate(lam_star), beta) if p > 0.0 else 0.0
-        return [(a_star, a_star)]
-
-    def margin_arr(a: np.ndarray) -> np.ndarray:
-        lam = 1.0 - market.dist.cdf(a)
-        g = market.qos.evaluate(lam)
-        return np.minimum(a - (p - c_s) / g, (p + c_s) / g - a)
-
-    def margin(a: float) -> float:
-        return float(margin_arr(np.asarray(a, dtype=float)))
-
-    grid = np.linspace(0.0, beta, _BAND_GRID)
-    ok = margin_arr(grid) >= 0.0
-
-    intervals: list[tuple[float, float]] = []
-    i = 0
-    while i < grid.size:
-        if not ok[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < grid.size and ok[j + 1]:
-            j += 1
-        lo = 0.0 if i == 0 else bisect_root(margin, grid[i - 1], grid[i], xtol=1e-12)
-        hi = beta if j == grid.size - 1 else bisect_root(margin, grid[j], grid[j + 1], xtol=1e-12)
-        intervals.append((float(lo), float(hi)))
-        i = j + 1
-
-    # quit threshold beyond the support: a = beta is fixed by the cap
-    g_at_zero_share = market.qos.evaluate(0.0)
-    if (p - c_s) / g_at_zero_share > beta:
-        if not intervals or intervals[-1][1] < beta:
-            intervals.append((beta, beta))
-    return intervals
+    lo = _threshold(market, p - c_s)
+    # the inverse is monotone: keep the two roots' 1e-15 noise from
+    # crossing the ends of a narrower band
+    return [(lo, max(lo, _threshold(market, p + c_s)))]

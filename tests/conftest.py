@@ -4,8 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import qosmarket as qm
+
+# property tests replay the same examples on every run, with no time limit
+settings.register_profile("qosmarket", derandomize=True, deadline=None)
+settings.load_profile("qosmarket")
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -1,10 +1,15 @@
 """Two providers at fixed prices: regimes, dynamics, stability."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qosmarket as qm
 from qosmarket.duopoly import bertrand_revenues, step_duopoly
+from test_monopoly import SHORT_CURVES, full_span_curves, nonincreasing_densities
 
 TOL = 1e-9
 
@@ -147,6 +152,29 @@ class TestEquilibrium:
             nxt = step_duopoly(m, eq.lam1, eq.lam2)
             assert abs(nxt[0] - eq.lam1) < 1e-10
             assert abs(nxt[1] - eq.lam2) < 1e-10
+
+    @given(nonincreasing_densities(), full_span_curves(), st.floats(1.05, 2.0),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.2))
+    def test_fixed_point_residual(self, dist, qos2, q1_ratio, u1, u2):
+        # p2 below p1 * g(0) / q1 keeps the entrant in the market
+        q1 = qos2.max_value() * q1_ratio
+        p1 = u1 * dist.beta * q1
+        m = qm.DuopolyMarket(dist, q1, qos2, p1, u2 * p1 * qos2.max_value() / q1)
+        eq = qm.equilibrium_duopoly(m)
+        nxt = step_duopoly(m, eq.lam1, eq.lam2)
+        assert abs(nxt[0] - eq.lam1) <= 1e-12
+        assert abs(nxt[1] - eq.lam2) <= 1e-12
+
+    def test_entrant_curve_must_span_the_unit_interval(self, uniform1, monkeypatch):
+        markets = [qm.DuopolyMarket(uniform1, 2.0, qos, p1, 0.3) for qos in SHORT_CURVES for p1 in (0.0, 1.0)]
+
+        def no_evaluation(self, lam):
+            raise AssertionError("curve evaluated")
+
+        monkeypatch.setattr(qm.QoSModel, "evaluate", no_evaluation)
+        for m in markets:
+            with pytest.raises(qm.ModelError, match=re.escape(str(list(m.qos2.domain)))):
+                qm.equilibrium_duopoly(m)
 
 
 class TestConvergenceCondition:

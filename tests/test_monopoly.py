@@ -1,16 +1,53 @@
 """Single-provider adoption dynamics, equilibria, and stability conditions."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qosmarket as qm
 from qosmarket.monopoly import step, step_variant
 
 TOL = 1e-9
+# curves that do not span [0, 1]: one starting late, one ending early
+SHORT_CURVES = (qm.QoSModel.tabulated([0.1, 1.0], [1.0, 0.8]),
+                qm.QoSModel.tabulated([0.0, 0.6], [1.0, 0.8]))
 
 
 def market(dist, qos, price):
     return qm.MonopolyMarket(dist, qos, price)
+
+
+@st.composite
+def nonincreasing_densities(draw):
+    """A non-increasing piecewise-linear density on [0, beta]; its last
+    sample may vanish."""
+    beta = draw(st.floats(0.5, 2.0))
+    inner = sorted(draw(st.sets(st.integers(1, 49), max_size=6)))
+    xs = np.array([0.0, *(k / 50 for k in inner), 1.0]) * beta
+    f = np.sort(draw(st.lists(st.floats(0.1, 3.0), min_size=xs.size, max_size=xs.size)))[::-1]
+    f[-1] *= draw(st.sampled_from([0.0, 1.0]))
+    return qm.ValuationDistribution.from_samples(xs, f / float(np.sum(np.diff(xs) * 0.5 * (f[:-1] + f[1:]))))
+
+
+@st.composite
+def full_span_curves(draw):
+    """A linear or tabulated quality curve on [0, 1]; tabulated nodes may
+    sit 1e-3 apart, so steep short segments occur."""
+    q_bar = draw(st.floats(0.5, 2.0))
+    if draw(st.booleans()):
+        return qm.QoSModel.linear(q_bar, q_bar * draw(st.floats(0.0, 0.9)))
+    inner = sorted(draw(st.sets(st.integers(1, 999), max_size=6)))
+    drops = np.sort(draw(st.lists(st.floats(0.0, 0.9), min_size=len(inner) + 2, max_size=len(inner) + 2)))
+    return qm.QoSModel.tabulated([0.0, *(k / 1000 for k in inner), 1.0], q_bar * (1.0 - drops))
+
+
+def zero_cost_threshold(m):
+    (a, b), = qm.switching_cost_equilibrium_band(m, 0.0)
+    assert a == b
+    return a
 
 
 class TestStep:
@@ -170,6 +207,36 @@ class TestEquilibrium:
             assert 0.0 <= lam <= 1.0
             assert abs(step(m, lam) - lam) < 1e-10
 
+    @given(nonincreasing_densities(), full_span_curves())
+    def test_residual_and_monotone_in_price(self, dist, qos):
+        top = dist.beta * qos.evaluate(0.0)
+        shares = []
+        for k in range(0, 45, 4):  # past the top price too
+            m = market(dist, qos, top * k / 40)
+            lam = qm.equilibrium(m)
+            assert abs(step(m, lam) - lam) <= 1e-12
+            shares.append(lam)
+        assert shares[0] == 1.0 and shares[-1] == 0.0
+        assert np.all(np.diff(shares) <= 0.0)
+
+    @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.0, 0.9), st.floats(0.0, 1.1))
+    def test_uniform_linear_matches_closed_form(self, beta, q_bar, ratio, frac):
+        dist = qm.ValuationDistribution.uniform(beta)
+        qos = qm.QoSModel.linear(q_bar, ratio * q_bar)
+        price = frac * beta * q_bar
+        assert abs(qm.equilibrium(market(dist, qos, price))
+                   - qm.equilibrium_closed_form(dist, qos, price)) <= 1e-12
+
+    def test_curve_must_span_the_unit_interval(self, uniform1, monkeypatch):
+        def no_evaluation(self, lam):
+            raise AssertionError("curve evaluated")
+
+        monkeypatch.setattr(qm.QoSModel, "evaluate", no_evaluation)
+        for qos in SHORT_CURVES:
+            for price in (0.0, 0.5, 5.0):  # free, interior, unaffordable
+                with pytest.raises(qm.ModelError, match=re.escape(str(list(qos.domain)))):
+                    qm.equilibrium(market(uniform1, qos, price))
+
 
 class TestClosedForm:
     def test_matches_direct_solution(self, uniform1):
@@ -281,6 +348,45 @@ class TestSwitchingBand:
         assert band[0][0] == band[0][1] == pytest.approx(0.4, abs=TOL)
         free = market(uniform1, qm.QoSModel.constant(1.0), 0.0)
         assert qm.switching_cost_equilibrium_band(free, 0.0) == [(0.0, 0.0)]
+
+    def test_band_narrower_than_a_grid_step(self, uniform1, split_qos):
+        m = market(uniform1, split_qos, 0.5)
+        a0 = zero_cost_threshold(m)
+        for cost in (1e-9, 1e-7, 1e-5):
+            band = qm.switching_cost_equilibrium_band(m, cost)
+            assert len(band) == 1
+            lo, hi = band[0]
+            assert lo < a0 < hi
+
+    def test_ends_never_cross(self, uniform1):
+        # the steep first segment gives a * g(1 - F(a)) a slope of about 11
+        # near the top, so at cost 1e-15 the band is narrower than the 1e-15
+        # to which each end is placed
+        qos = qm.QoSModel.tabulated([0.0, 0.07, 0.12, 1.0], [1.6, 0.85, 0.72, 0.23])
+        for k in range(1, 1000):
+            (lo, hi), = qm.switching_cost_equilibrium_band(market(uniform1, qos, k * 1.6e-3), 1e-15)
+            assert lo <= hi
+
+    @given(nonincreasing_densities(), full_span_curves(), st.floats(0.0, 1.1))
+    def test_one_interval_around_the_zero_cost_threshold(self, dist, qos, frac):
+        m = market(dist, qos, frac * dist.beta * qos.evaluate(0.0))
+        a0 = zero_cost_threshold(m)
+        for k in range(16):
+            band = qm.switching_cost_equilibrium_band(m, 10.0**-k)
+            assert len(band) == 1
+            lo, hi = band[0]
+            assert 0.0 <= lo <= hi <= dist.beta
+            assert lo - 1e-12 <= a0 <= hi + 1e-12
+
+    def test_curve_must_span_the_unit_interval(self, uniform1, monkeypatch):
+        def no_evaluation(self, lam):
+            raise AssertionError("curve evaluated")
+
+        monkeypatch.setattr(qm.QoSModel, "evaluate", no_evaluation)
+        for qos in SHORT_CURVES:
+            for cost in (0.0, 0.1):
+                with pytest.raises(qm.ModelError, match=re.escape(str(list(qos.domain)))):
+                    qm.switching_cost_equilibrium_band(market(uniform1, qos, 0.5), cost)
 
 
 class TestDynamicsTrace:

@@ -7,7 +7,7 @@ import pytest
 
 import qosmarket as qm
 from qosmarket import _optim
-from qosmarket._optim import bisect_root, itp_root, scan_then_bisect, scan_then_refine
+from qosmarket._optim import itp_root, scan_then_bisect
 from qosmarket.competition import _revenue_slope, _revenue_surface
 from qosmarket.revenue import price_from_marginal, revenue_at_price, revenue_curve
 from test_acceptance import random_nonincreasing_density
@@ -17,6 +17,75 @@ GOLDEN_SHARE = 0.42264973081037427
 GOLDEN_ALPHA = 0.5773502691896257
 GOLDEN_PRICE = 0.4553418012614795
 GOLDEN_REV = 0.19245008972987523
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+# Reference solvers: plain bisection and a derivative-free grid scan with
+# golden-section refinement, kept here as black boxes to check the package's
+# own solvers against.
+
+
+def bisect_root(fn, lo, hi, *, xtol=1e-12, max_iter=200):
+    """Root of a monotone continuous function on the bracket [lo, hi], to
+    within ``xtol``, or an endpoint where ``fn`` is exactly zero."""
+    flo = fn(lo)
+    if flo == 0.0:
+        return lo
+    fhi = fn(hi)
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise ValueError("bisect_root: endpoints do not bracket a root")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        fmid = fn(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < xtol:
+            break
+    return 0.5 * (lo + hi)
+
+
+def golden_section_max(fn, lo, hi, *, xtol=1e-11, max_iter=200):
+    """Maximum of a function unimodal on [lo, hi]: the midpoint of the final
+    bracket; equal interior values keep the left subinterval."""
+    a, b = float(lo), float(hi)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = float(fn(c)), float(fn(d))
+    for _ in range(max_iter):
+        if b - a < xtol:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = float(fn(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = float(fn(d))
+    return 0.5 * (a + b)
+
+
+def scan_then_refine(fn, lo, hi, num, *, xtol=1e-11):
+    """``(argmax, max)`` of ``fn`` (scalars and arrays alike) from a
+    ``num``-point scan refined by golden section in the two cells around
+    the first grid maximum; the grid point wins ties."""
+    xs = np.linspace(lo, hi, num)
+    vals = np.asarray(fn(xs), dtype=float)
+    i = int(np.argmax(vals))
+    a = float(xs[i - 1]) if i > 0 else float(xs[0])
+    b = float(xs[i + 1]) if i + 1 < num else float(xs[num - 1])
+    x = golden_section_max(fn, a, b, xtol=xtol)
+    fx = float(fn(x))
+    fi = float(vals[i])
+    if fi > fx or (fi == fx and xs[i] <= x):
+        return float(xs[i]), fi
+    return float(x), fx
 
 
 class TestRevenueAtPrice:

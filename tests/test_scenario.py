@@ -236,7 +236,7 @@ class TestReadmeContract:
                              if isinstance(got, tuple) else got)
                 assert re.fullmatch(re.escape(want).replace(r"\.\.\.", r"\d*"), shown), (expr, want, shown)
                 checked[expr] = want
-        assert checked["qm.equilibrium(market)"] == "0.2549207697247766"
+        assert checked["qm.equilibrium(market)"] == "0.2549207697255652"
         assert checked["best.price, best.share, best.revenue"] == "(0.8058..., 0.4930..., 0.3973...)"
         assert len(checked) == 4
 

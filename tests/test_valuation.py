@@ -311,14 +311,14 @@ probabilities = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30)
 
 
 class TestQuantileProperties:
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(densities(), probabilities)
     def test_cdf_undoes_quantile(self, dist_nodes, us):
         d, xs = dist_nodes
         u = np.concatenate([us, d.cdf(xs), [0.0, 1.0]])
         assert np.max(np.abs(d.cdf(d.quantile(u)) - u)) <= 1e-14
 
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(densities(), probabilities)
     def test_nondecreasing(self, dist_nodes, us):
         d, xs = dist_nodes
@@ -327,7 +327,7 @@ class TestQuantileProperties:
         u = np.sort(np.clip(np.concatenate([u, np.nextafter(u, -1.0), np.nextafter(u, 2.0)]), 0.0, 1.0))
         assert np.all(np.diff(d.quantile(u)) >= 0.0)
 
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(densities(), probabilities)
     def test_scalar_and_array_agree_bit_for_bit(self, dist_nodes, us):
         d, xs = dist_nodes
@@ -336,7 +336,7 @@ class TestQuantileProperties:
         assert scalars.tobytes() == d.quantile(u).tobytes()
         assert d.quantile(0.0) == 0.0 and d.quantile(1.0) == d.beta
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         densities(),
         st.one_of(
