@@ -47,7 +47,7 @@ __all__ = [
     "nash_solve_multi",
 ]
 
-_BR_SCAN = 2_001
+_SCAN = 2_001  # grid points of every revenue scan
 _FD_STEP = 1e-4
 _FD_SLACK = 1e-6
 _VERIFY_TOL = 1e-8
@@ -209,30 +209,48 @@ def best_response(game: CournotGame, player: int, lam_other: float) -> float:
 
     Requires a non-increasing valuation density, under which the result
     is guaranteed to lie in (0, 1/2].  Scans 2,001 grid points on
-    [0, 1/2], then finds the root of the analytic revenue slope in the two
-    cells around the best grid point (or the node of the entrant's curve
-    where that slope jumps through zero); ties resolve toward the smaller
-    share.  Raises DomainError when the incumbent's rival share lies
-    beyond the entrant curve's span.
+    [0, 1/2], joined for the entrant by the nodes of its curve, then takes
+    the best scan point if it is a node where the revenue slope jumps
+    through zero, else the root of the analytic slope in the two cells
+    around it; ties resolve toward the smaller share.  Raises DomainError
+    when the incumbent's rival share lies beyond the entrant curve's span.
     """
     return _responder(game, player)(lam_other)
 
 
-def _responder(game: CournotGame, player: int) -> Callable[[float], float]:
-    """``player``'s :func:`best_response` as a function of the rival share.
+def _maximizer(
+    dist: ValuationDistribution, qos2: QoSModel, q1: float | None, lo: float, hi: float
+) -> Callable[[float], float]:
+    """The share in [lo, hi] maximizing :func:`_revenue_surface` (the
+    incumbent's when ``q1`` is given, else the entrant's), as a function of
+    the rival share.  The grid and the own-share column are built once, so
+    each call computes only the rival-dependent column and the refinement.
+    The entrant's slope jumps at its curve's nodes, so its grid holds the
+    nodes inside (lo, hi) too; the incumbent's slope has no jumps."""
+    xs = np.linspace(lo, hi, _SCAN)
+    kinks = () if q1 is not None else tuple(x for x in qos2.nodes if lo < x < hi)
+    if kinks:
+        xs = np.union1d(xs, kinks)
+    column = _own_column(dist, qos2, xs, q1)
 
-    The share grid and the surface's own-share column do not depend on the
-    rival, so they are built here once; each call computes only the
-    rival-dependent ``quantile(1 - own - other)`` column and the root.
-    """
+    def maximize(other: float) -> float:
+        return scan_then_bisect(lambda lam: _revenue_surface(dist, qos2, lam, other, q1),
+                                lambda lam: _revenue_slope(dist, qos2, lam, other, q1),
+                                xs, _surface_from_column(dist, qos2, xs, column, other, q1), kinks)
+
+    return maximize
+
+
+def _responder(game: CournotGame, player: int) -> Callable[[float], float]:
+    """``player``'s :func:`best_response` as a function of the rival share,
+    with its :func:`_maximizer` built once."""
     if player not in (1, 2):
         raise DomainError(f"player must be 1 or 2, got {player!r}")
     if not game.dist.is_nonincreasing_pdf():
         raise ModelError("best response guarantees need a non-increasing density")
-    dist, qos2 = game.dist, game.qos2
-    q1, kinks = (game.q1, ()) if player == 1 else (None, qos2.nodes)
-    xs = np.linspace(0.0, 0.5 if player == 1 else min(0.5, qos2.domain[1]), _BR_SCAN)
-    column = _own_column(dist, qos2, xs, q1)
+    qos2 = game.qos2
+    q1, hi = (game.q1, 0.5) if player == 1 else (None, min(0.5, qos2.domain[1]))
+    maximize = _maximizer(game.dist, qos2, q1, 0.0, hi)
 
     def respond(lam_other: float) -> float:
         other = float(lam_other)
@@ -241,9 +259,7 @@ def _responder(game: CournotGame, player: int) -> Callable[[float], float]:
         if player == 1 and other > qos2.domain[1]:
             raise DomainError(f"rival share {lam_other!r} beyond the entrant curve's span "
                               f"{list(qos2.domain)}")
-        best = scan_then_bisect(lambda lam: _revenue_surface(dist, qos2, lam, other, q1),
-                                lambda lam: _revenue_slope(dist, qos2, lam, other, q1),
-                                xs, _surface_from_column(dist, qos2, xs, column, other, q1), kinks)
+        best = maximize(other)
         assert 0.0 < best <= 0.5, f"best response {best} escaped (0, 1/2]"
         return best
 

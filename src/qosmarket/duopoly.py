@@ -26,7 +26,7 @@ from enum import Enum
 
 from ._optim import itp_root
 from .errors import DomainError, ModelError
-from .monopoly import ConditionReport, DynamicsTrace, _EQ_XTOL, _check_full_span, _iterate
+from .monopoly import ConditionReport, DynamicsTrace, _check_full_span, _iterate
 from .qos import QoSModel
 from .valuation import ValuationDistribution
 
@@ -145,8 +145,9 @@ def equilibrium_duopoly(market: DuopolyMarket) -> DuopolyEquilibrium:
     The entrant is shut out exactly when its price per quality is no
     better than the incumbent's even with an empty network:
     ``p1/q1 <= p2/g(0)``.  Otherwise the entrant share is the root of
-    ``h(lam2) - lam2``, where ``h`` is the entrant's next share (it never
-    depends on the incumbent share); the difference falls strictly, and
+    ``h(lam2) - lam2``, where ``h(lam2)`` is the entrant share that
+    :func:`step_duopoly` moves to from ``(0, lam2)`` (the incumbent share
+    never enters it); the difference falls strictly, and
     :func:`itp_root` places its root to 1e-15.  The incumbent share then
     follows from theta1.  Raises ModelError unless the entrant curve spans
     [0, 1].
@@ -161,14 +162,7 @@ def equilibrium_duopoly(market: DuopolyMarket) -> DuopolyEquilibrium:
             regime=Regime.ENTRANT_SHUT_OUT,
         )
 
-    def h_tilde(lam2: float) -> float:
-        g = market.qos2.evaluate(lam2)
-        if market.p1 / market.q1 <= market.p2 / g:
-            return -lam2
-        theta1 = (market.p1 - market.p2) / (market.q1 - g)
-        return F(theta1) - F(market.p2 / g) - lam2
-
-    lam2 = itp_root(h_tilde, 0.0, 1.0, xtol=_EQ_XTOL)
+    lam2 = itp_root(lambda lam2: step_duopoly(market, 0.0, lam2)[1] - lam2, 0.0, 1.0)
     g = market.qos2.evaluate(lam2)
     theta1 = (market.p1 - market.p2) / (market.q1 - g)
     theta2 = market.p2 / g

@@ -53,8 +53,6 @@ __all__ = [
     "switching_cost_equilibrium_band",
 ]
 
-_EQ_XTOL = 1e-15
-
 
 @dataclass(frozen=True)
 class MonopolyMarket:
@@ -335,7 +333,7 @@ def _threshold(market: MonopolyMarket, target: float) -> float:
     if target >= top:
         return beta
     return itp_root(lambda a: a * qos.evaluate(1.0 - dist.cdf(a)) - target, 0.0, beta,
-                    xtol=_EQ_XTOL, flo=-target, fhi=top - target)
+                    flo=-target, fhi=top - target)
 
 
 def equilibrium_closed_form(

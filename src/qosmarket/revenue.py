@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import scan_then_bisect
-from .competition import _revenue_slope, _revenue_surface
+from .competition import _maximizer
 from .errors import DomainError, ModelError
 from .monopoly import MonopolyMarket, _decay_ratio_max, equilibrium
 from .qos import QoSModel
@@ -37,8 +36,6 @@ __all__ = [
     "optimum_bounds",
     "revenue_curve",
 ]
-
-_SCAN_POINTS = 2_001
 
 # golden-ratio constants for the tightened uniform bounds
 _SHARE_FLOOR = (3.0 - math.sqrt(5.0)) / 2.0
@@ -97,21 +94,20 @@ def price_from_marginal(
 def optimize(dist: ValuationDistribution, qos: QoSModel) -> RevenueOptimum:
     """Maximize revenue over the share.
 
-    Revenue is the entrant's against an empty rival.  Scans 2,001 grid
-    points, then finds the root of the analytic revenue slope in the two
-    cells around the best grid point, or the node of the quality curve
-    where that slope jumps through zero; ties resolve toward the smaller
-    share.  With a non-increasing density the scan is restricted to
-    [0, 1/2], where the optimum is known to lie.
+    Revenue is the entrant's against an empty rival, maximized as in
+    :func:`best_response`: a scan of 2,001 grid points joined by the
+    curve's nodes, then the best scan point if it is a node where the
+    revenue slope jumps through zero, else the root of the analytic slope
+    in the two cells around it; ties resolve toward the smaller share.
+    The scan covers the curve's span, cut at 1/2 for a non-increasing
+    density, where the optimum is known to lie.  Raises ModelError when
+    that range is empty.
     """
     lo, hi = qos.domain  # within [0, 1]
     hi = min(hi, 0.5) if dist.is_nonincreasing_pdf() else hi
     if not lo < hi:
         raise ModelError("quality curve domain too small to optimize over")
-    xs = np.linspace(lo, hi, _SCAN_POINTS)
-    share = scan_then_bisect(lambda lam: _revenue_surface(dist, qos, lam, 0.0, None),
-                             lambda lam: _revenue_slope(dist, qos, lam, 0.0, None),
-                             xs, _revenue_surface(dist, qos, xs, 0.0, None), qos.nodes)
+    share = _maximizer(dist, qos, None, lo, hi)(0.0)
     alpha = dist.quantile(1.0 - share)
     price = alpha * qos.evaluate(share)
     return RevenueOptimum(

@@ -20,6 +20,7 @@ from qosmarket.competition import (
     revenues,
 )
 from test_acceptance import random_nonincreasing_density
+from test_monopoly import nonincreasing_densities
 
 TOL = 1e-9
 # frozen solution for q1=2, entrant quality 1 - 0.5*lam, uniform valuations
@@ -155,6 +156,27 @@ class TestBestResponse:
         game_r = qm.CournotGame(rising, 2.0, qm.QoSModel.constant(1.0))
         with pytest.raises(qm.ModelError):
             qm.best_response(game_r, 1, 0.2)
+
+
+@st.composite
+def entrant_curves(draw):
+    """A linear curve on [0, 1], or a tabulated one from share 0 to an end
+    anywhere in [0.1, 1], with nodes that may sit 1e-3 of the span apart."""
+    q_bar = draw(st.floats(0.5, 2.0))
+    if draw(st.booleans()):
+        return qm.QoSModel.linear(q_bar, q_bar * draw(st.floats(0.0, 0.9)))
+    end = draw(st.floats(0.1, 1.0))
+    inner = sorted(draw(st.sets(st.integers(1, 999), max_size=6)))
+    drops = np.sort(draw(st.lists(st.floats(0.0, 0.9), min_size=len(inner) + 2, max_size=len(inner) + 2)))
+    return qm.QoSModel.tabulated([0.0, *(end * k / 1000 for k in inner), end], q_bar * (1.0 - drops))
+
+
+class TestBestResponseRange:
+    @given(nonincreasing_densities(), entrant_curves(), st.floats(1.05, 2.0), st.floats(0.0, 0.95))
+    def test_both_responses_lie_in_the_half_market(self, dist, qos, gap, other):
+        game = qm.CournotGame(dist, gap * qos.max_value(), qos)
+        assert 0.0 < qm.best_response(game, 1, min(other, qos.domain[1])) <= 0.5
+        assert 0.0 < qm.best_response(game, 2, other) <= 0.5
 
 
 class TestSupermodularity:
@@ -373,13 +395,15 @@ def seeded_custom_game(seed: int) -> qm.CournotGame:
 def rebuilt_response(game: qm.CournotGame, player: int, other: float) -> float:
     """The best response with the whole revenue surface evaluated afresh."""
     q1 = game.q1 if player == 1 else None
-    xs = np.linspace(0.0, 0.5 if player == 1 else min(0.5, game.qos2.domain[1]), 2_001)
+    hi = 0.5 if player == 1 else min(0.5, game.qos2.domain[1])
+    kinks = () if player == 1 else tuple(x for x in game.qos2.nodes if 0.0 < x < hi)
+    xs = np.union1d(np.linspace(0.0, hi, 2_001), kinks)
 
     def surface(lam):
         return _revenue_surface(game.dist, game.qos2, lam, other, q1)
 
     return scan_then_bisect(surface, lambda lam: _revenue_slope(game.dist, game.qos2, lam, other, q1),
-                            xs, surface(xs), () if player == 1 else game.qos2.nodes)
+                            xs, surface(xs), kinks)
 
 
 class TestOncePerSolveScan:

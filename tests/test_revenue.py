@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qosmarket as qm
 from qosmarket import _optim
@@ -11,6 +13,7 @@ from qosmarket._optim import itp_root, scan_then_bisect
 from qosmarket.competition import _revenue_slope, _revenue_surface
 from qosmarket.revenue import price_from_marginal, revenue_at_price, revenue_curve
 from test_acceptance import random_nonincreasing_density
+from test_monopoly import nonincreasing_densities
 
 TOL = 1e-9
 GOLDEN_SHARE = 0.42264973081037427
@@ -373,7 +376,7 @@ def slope_shares(monkeypatch):
         at.append(own)
         return _revenue_slope(dist, qos2, own, other, q1)
 
-    monkeypatch.setattr(qm.revenue, "_revenue_slope", slope)
+    monkeypatch.setattr(qm.competition, "_revenue_slope", slope)
     return at
 
 
@@ -406,6 +409,61 @@ class TestKinkMaximum:
             assert len(set(slope_shares)) == len(slope_shares)
 
 
+@st.composite
+def cliff_curves(draw):
+    """A tabulated curve on [0, 1] with one to four short steep segments
+    (1e-6 to 3e-4 wide) inside (0, 1/2), between long gentle ones."""
+    q_bar = draw(st.floats(0.5, 2.0))
+    n = draw(st.integers(1, 4))
+    starts = sorted(draw(st.lists(st.floats(0.01, 0.49), min_size=n, max_size=n)))
+    widths = draw(st.lists(st.floats(1e-6, 3e-4), min_size=n, max_size=n))
+    xs = [0.0]
+    for s, w in zip(starts, widths):
+        if s > xs[-1]:
+            xs += [s, s + w]
+    xs.append(1.0)
+    # odd segments are the short ones: they drop 0.01-0.3, the long ones 0-0.1
+    drops = np.array([draw(st.floats(0.01, 0.3) if i % 2 else st.floats(0.0, 0.1))
+                      for i in range(len(xs) - 1)])
+    drops *= min(1.0, 0.9 / drops.sum())
+    return qm.QoSModel.tabulated(xs, q_bar * (1.0 - np.concatenate(([0.0], np.cumsum(drops)))))
+
+
+class TestNodesInTheScan:
+    """The curve's nodes join the scan grid, so a maximum at a node is found
+    even where the slope keeps its sign at the grid points either side."""
+
+    # the slope is positive at the grid points 0.29975 and 0.30025; the
+    # revenue peaks at the node 0.30011, where the quality starts to fall by
+    # 0.29 over 1e-5
+    CLIFF = ([0.0, 0.30011, 0.30012, 1.0], [1.0, 0.99, 0.7, 0.6])
+
+    def test_optimum_at_a_node_between_grid_points(self, uniform1, triangle):
+        qos = qm.QoSModel.tabulated(*self.CLIFF)
+        for dist in (uniform1, triangle):
+            assert qm.optimize(dist, qos).share == 0.30011
+
+    def test_entrant_response_at_a_node_between_grid_points(self, uniform1):
+        game = qm.CournotGame(uniform1, 2.0, qm.QoSModel.tabulated(*self.CLIFF))
+        assert qm.best_response(game, 2, 0.2) == 0.30011
+
+    @settings(max_examples=60)
+    @given(nonincreasing_densities(), cliff_curves(), st.floats(0.0, 0.45))
+    def test_never_below_a_dense_oracle(self, dist, qos, other):
+        # 200,001 grid points on [0, 1/2] and every node of the curve there
+        lam = np.union1d(np.linspace(0.0, 0.5, 200_001), [x for x in qos.nodes if x < 0.5])
+
+        def oracle(rival):
+            rest = 1.0 - lam - rival
+            rev = lam * dist.quantile(np.clip(rest, 0.0, 1.0)) * qos.evaluate(lam)
+            return float(np.max(np.where(rest >= 0.0, rev, 0.0)))
+
+        assert qm.optimize(dist, qos).revenue >= oracle(0.0) * (1.0 - 1e-12)
+        game = qm.CournotGame(dist, 2.0 * qos.max_value(), qos)
+        response = qm.best_response(game, 2, other)
+        assert qm.competition.revenues(game, other, response)[1] >= oracle(other) * (1.0 - 1e-12)
+
+
 def counted(fn):
     """``fn`` recording the points it is called at in ``.xs``."""
     def wrapped(x):
@@ -424,7 +482,7 @@ class TestItpRoot:
 
         for a, b in ((0.2, 0.4), (0.0, 1.0), (0.299, 0.9), (0.1, 0.3000001)):
             itp, bis = counted(step), counted(step)
-            x = itp_root(itp, a, b, xtol=1e-15)
+            x = itp_root(itp, a, b)
             bisect_root(bis, a, b, xtol=1e-15)
             assert abs(x - 0.3) <= 1e-15
             assert len(itp.xs) <= len(bis.xs) + 1
@@ -466,8 +524,8 @@ class TestItpRoot:
             return math.cos(3.0 * t) - t
 
         given, fresh = counted(fn), counted(fn)
-        x = itp_root(given, 0.1, 0.6, xtol=1e-15, flo=fn(0.1), fhi=fn(0.6))
-        assert itp_root(fresh, 0.1, 0.6, xtol=1e-15) == x
+        x = itp_root(given, 0.1, 0.6, flo=fn(0.1), fhi=fn(0.6))
+        assert itp_root(fresh, 0.1, 0.6) == x
         assert 0.1 not in given.xs and 0.6 not in given.xs
         assert fresh.xs[:2] == [0.1, 0.6]
         assert given.xs == fresh.xs[2:]
