@@ -14,9 +14,11 @@ Revenue is own share times own price, and zero for infeasible share
 pairs.  With a non-increasing valuation density each best response lies
 in (0, 1/2]; :func:`nash_solve` finds the equilibrium by alternating
 best responses and verifies it by re-optimizing both players.
-:func:`supermodularity_check` certifies the game, not a solve: it reports
-whether the revenue cross-partials are nonpositive, which makes the best
-responses monotone and the iteration reliable.
+:func:`supermodularity_check` certifies the game, not a solve: it
+evaluates both revenue cross-partials in closed form, from the two node
+tables' values and one-sided slopes, and reports whether they are
+nonpositive, which makes the best responses monotone and the iteration
+reliable.
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ __all__ = [
 ]
 
 _SCAN = 2_001  # grid points of every revenue scan
-_FD_STEP = 1e-4
-_FD_SLACK = 1e-6
+_GAP = 1.0 / 200  # widest gap between certificate samples, as a share of the market
 _VERIFY_TOL = 1e-8
 
 DEFAULT_STARTS = ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5), (0.25, 0.25))
@@ -139,22 +140,20 @@ def revenues(game: CournotGame, lam1: float, lam2: float) -> tuple[float, float]
     return l1 * p1, l2 * p2
 
 
-def _revenue_surface(dist: ValuationDistribution, qos2: QoSModel, own, other, q1: float | None) -> np.ndarray:
-    """Own revenue over own and rival shares, broadcast: the incumbent's when
-    ``q1`` is given, else the entrant's (against an empty rival, the monopoly
-    revenue); zero where the shares exceed the market.  A float ``own``
-    takes the same expressions in pure Python, for the maximizers' probes."""
-    if isinstance(own, float):
-        rest = 1.0 - own - other
-        if not rest >= 0.0:
-            return 0.0
-        a2 = dist.quantile(min(rest, 1.0))
-        if q1 is None:
-            return own * a2 * qos2.evaluate(own)
-        g = qos2.evaluate(other)
-        return own * (dist.quantile(min(max(1.0 - own, 0.0), 1.0)) * (q1 - g) + a2 * g)
-    own = np.asarray(own, dtype=float)
-    return _surface_from_column(dist, qos2, own, _own_column(dist, qos2, own, q1), other, q1)
+def _revenue_surface(dist: ValuationDistribution, qos2: QoSModel, own: float, other: float,
+                     q1: float | None) -> float:
+    """Own revenue at scalar own and rival shares: the incumbent's when ``q1``
+    is given, else the entrant's (against an empty rival, the monopoly
+    revenue); zero where the shares exceed the market.  The expressions of
+    :func:`_surface_from_column` in pure Python, for the maximizers' probes."""
+    rest = 1.0 - own - other
+    if not rest >= 0.0:
+        return 0.0
+    a2 = dist.quantile(min(rest, 1.0))
+    if q1 is None:
+        return own * a2 * qos2.evaluate(own)
+    g = qos2.evaluate(other)
+    return own * (dist.quantile(min(max(1.0 - own, 0.0), 1.0)) * (q1 - g) + a2 * g)
 
 
 def _own_column(dist: ValuationDistribution, qos2: QoSModel, own: np.ndarray, q1: float | None):
@@ -168,7 +167,8 @@ def _own_column(dist: ValuationDistribution, qos2: QoSModel, own: np.ndarray, q1
 def _surface_from_column(
     dist: ValuationDistribution, qos2: QoSModel, own: np.ndarray, column, other, q1: float | None
 ) -> np.ndarray:
-    """:func:`_revenue_surface` given ``column = _own_column(dist, qos2, own, q1)``."""
+    """:func:`_revenue_surface` over an array of own shares, given ``column =
+    _own_column(dist, qos2, own, q1)``."""
     rest = 1.0 - own - other
     feasible = rest >= 0.0
     a2 = dist.quantile(np.where(feasible, np.clip(rest, 0.0, 1.0), 0.0))
@@ -301,48 +301,69 @@ def best_response_closed(
 def supermodularity_check(game: CournotGame) -> SupermodularityReport:
     """Check that both revenue cross-partials are nonpositive on [0, 1/2]^2.
 
-    For uniform valuations the condition reduces to
-    ``g(lam2) + lam2 * g'(lam2) >= 0`` on the entrant-share axis (the
-    incumbent share drops out; the reported worst point carries 0 in that
-    slot).  That margin is linear on each segment of the curve, so it is
-    checked exactly at the segment ends, with each segment's own slope.
-    Otherwise the cross-partials of both revenue surfaces are estimated by
-    central finite differences (h = 1e-4) on the 99x99 interior of a
-    101x101 grid, with a small slack absorbing differencing noise; this
-    needs a non-increasing density.
+    With ``w = 1 - lam1 - lam2``, ``Q`` the quantile, ``Q' = 1/f(Q)`` and
+    ``Q'' = -f'(Q)/f(Q)^3``, the cross-partials are, in closed form:
+
+        incumbent  g'(Q(w) - Q(1-lam1)) - g Q'(w) + lam1 [g'(Q'(1-lam1) - Q'(w)) + g Q''(w)]
+        entrant    -(g + lam2 g') Q'(w) + lam2 g Q''(w)
+
+    Slopes jump only at table nodes: g' at the curve's (in lam2), f' at the
+    density's (in ``a2 = Q(w)``).  So both are evaluated on a (lam2, a2)
+    product of samples taken piece by piece, each piece end to end with its
+    own slope: lam2 within the curve's span up to 1/2, at most 1/200 apart;
+    a2 over the support, at most beta/200 apart and 1/200 of the market
+    between neighbours.  Points with ``lam1`` outside [0, 1/2] are left
+    out, as are those where the density vanishes at ``Q(w)`` or ``Q(1 -
+    lam1)`` (the ``lam1 = 0`` edge of a density that reaches 0 at beta).
+    The margin is ``-max(cross-partials)`` at the worst point, reported as
+    ``(lam1, lam2)``, the first of equal margins in lam2-major order.  For
+    uniform valuations both cross-partials are ``-beta * (g + lam2 g')``.
     """
-    if game.dist.is_uniform():
-        qos = game.qos2
-        hi = min(0.5, qos.domain[1])
-        ends = [
-            (lam, qos.evaluate(lam) + lam * s)
-            for lam0, lam1, _, _, s in qos.segments() if lam0 <= hi
-            for lam in (lam0, min(lam1, hi))
-        ]
-        lam, worst = min(ends, key=lambda e: e[1])  # first of equal margins
-        return SupermodularityReport(holds=worst >= 0.0, worst_point=(0.0, lam), worst_margin=worst)
-    if not game.dist.is_nonincreasing_pdf():
-        raise ModelError("supermodularity check needs a non-increasing density")
-    h = _FD_STEP
-    pts = np.linspace(0.0, 0.5, 101)
-    pts = pts[(pts >= h) & (pts <= 0.5 - h)]
-    own, rival = pts[None, :], pts[:, None]  # rival-major grid
-    worst = math.inf
-    worst_point = (pts[0], pts[0])
-    for q1 in (game.q1, None):  # incumbent, then entrant
-        # cross-partial in (own, rival) via four corner evaluations
-        r_pp, r_pm, r_mp, r_mm = (_revenue_surface(game.dist, game.qos2, own + do, rival + dr, q1)
-                                  for do in (h, -h) for dr in (h, -h))
-        cross = (r_pp - r_pm - r_mp + r_mm) / (4.0 * h * h)
-        margin = -cross  # condition: cross-partial <= 0
-        k = int(np.argmin(margin))  # first of equal margins, rival-major
-        if margin.flat[k] < worst:
-            worst = float(margin.flat[k])
-            b, i = divmod(k, pts.size)
-            worst_point = (float(pts[i]), float(pts[b])) if q1 is not None else (float(pts[b]), float(pts[i]))
-    return SupermodularityReport(
-        holds=bool(worst >= -_FD_SLACK), worst_point=worst_point, worst_margin=worst
-    )
+    dist, qos = game.dist, game.qos2
+    lam2, g, dg = _samples(qos.segments(), min(0.5, qos.domain[1]), lambda g0, g1: 1.0)
+    a2, f2, df2 = _samples(dist.segments(), dist.beta,
+                           lambda f0, f1: np.maximum(1.0 / dist.beta, np.maximum(f0, f1)))
+    a2, f2, df2 = (v[f2 > 0.0] for v in (a2, f2, df2))
+    lam1 = 1.0 - lam2[:, None] - dist.cdf(a2)
+    i, j = np.nonzero((lam1 >= 0.0) & (lam1 <= 0.5))  # lam2-major
+    lam1, lam2 = lam1[i, j], lam2[i]
+    margin = -np.maximum(*_cross_partials(dist, lam1, lam2, g[i], dg[i], a2[j], f2[j], df2[j]))
+    k = int(np.nanargmin(margin))
+    worst = float(margin[k])
+    return SupermodularityReport(holds=worst >= 0.0, worst_point=(float(lam1[k]), float(lam2[k])),
+                                 worst_margin=worst)
+
+
+def _cross_partials(dist: ValuationDistribution, lam1, lam2, g, dg, a2, f2, df2):
+    """The incumbent's and the entrant's revenue cross-partials at shares
+    ``(lam1, lam2)``, given the curve's value ``g`` and slope ``dg`` at
+    ``lam2`` and the density's value ``f2 > 0`` and slope ``df2`` at ``a2 =
+    Q(1 - lam1 - lam2)``.  The incumbent's is NaN where the density
+    vanishes at ``Q(1 - lam1)``: only at ``lam1 = 0``, where it is 0 * inf."""
+    dq2 = 1.0 / f2
+    ddq2 = -df2 * dq2 ** 3
+    a1 = dist.quantile(1.0 - lam1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross1 = dg * (a2 - a1) - g * dq2 + lam1 * (dg * (1.0 / dist.pdf(a1) - dq2) + g * ddq2)
+    return cross1, -(g + lam2 * dg) * dq2 + lam2 * g * ddq2
+
+
+def _samples(segments, hi: float, rate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions, values and slopes along a node table's pieces ``(t0, t1,
+    y0, y1, slope)`` up to ``hi``: each piece end to end, with its own
+    slope, so a node between two pieces appears once per side.  Points on
+    a piece lie at most ``_GAP / rate(y0, y1)`` apart."""
+    t0, t1, y0, y1, slope = np.array([p for p in segments if p[0] <= hi]).T
+    end = np.minimum(t1, hi)
+    y1 = np.where(end == t1, y1, y0 + slope * (end - t0))
+    n = np.ceil((end - t0) * rate(y0, y1) / _GAP).astype(int) + 1
+    piece = np.repeat(np.arange(n.size), n)
+    step = np.arange(piece.size) - np.repeat(np.cumsum(n) - n, n)  # 0 .. n-1 along each piece
+    last = step == n[piece] - 1
+    frac = step / np.maximum(n[piece] - 1, 1)
+    t = np.where(last, end[piece], t0[piece] + frac * (end - t0)[piece])
+    y = np.where(last, y1[piece], y0[piece] + frac * (y1 - y0)[piece])
+    return t, y, slope[piece]
 
 
 def _closed_pair(game: CournotGame):

@@ -38,7 +38,6 @@ __all__ = [
     "simulate_duopoly",
     "equilibrium_duopoly",
     "convergence_condition_duopoly",
-    "bertrand_revenues",
 ]
 
 
@@ -191,9 +190,3 @@ def convergence_condition_duopoly(
     )
     rhs = 1.0 / dist.k_constant()
     return ConditionReport(holds=lhs < rhs, lhs=lhs, rhs=rhs)
-
-
-def bertrand_revenues(market: DuopolyMarket) -> tuple[float, float]:
-    """Per-provider revenue at the posted-price equilibrium."""
-    eq = equilibrium_duopoly(market)
-    return market.p1 * eq.lam1, market.p2 * eq.lam2

@@ -18,10 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .competition import _maximizer
-from .errors import DomainError, ModelError
+from .errors import ModelError
 from .monopoly import MonopolyMarket, _decay_ratio_max, equilibrium
 from .qos import QoSModel
 from .valuation import ValuationDistribution
@@ -30,11 +28,9 @@ __all__ = [
     "RevenueOptimum",
     "OptimumBounds",
     "revenue_at_price",
-    "price_from_marginal",
     "optimize",
     "optimum_closed_form",
     "optimum_bounds",
-    "revenue_curve",
 ]
 
 # golden-ratio constants for the tightened uniform bounds
@@ -79,16 +75,6 @@ def revenue_at_price(
 ) -> float:
     """Price times the equilibrium share at that price."""
     return float(price) * equilibrium(MonopolyMarket(dist, qos, price))
-
-
-def price_from_marginal(
-    dist: ValuationDistribution, qos: QoSModel, alpha: float
-) -> float:
-    """Price that makes ``alpha`` the marginal user: ``alpha * g(1 - F(alpha))``."""
-    a = float(alpha)
-    if not math.isfinite(a) or not 0.0 <= a <= dist.beta:
-        raise DomainError(f"marginal valuation outside [0, beta]: {alpha!r}")
-    return a * qos.evaluate(1.0 - dist.cdf(a))
 
 
 def optimize(dist: ValuationDistribution, qos: QoSModel) -> RevenueOptimum:
@@ -182,14 +168,3 @@ def optimum_bounds(dist: ValuationDistribution, qos: QoSModel) -> OptimumBounds:
             tightened=True,
         )
     return base
-
-
-def revenue_curve(
-    dist: ValuationDistribution, qos: QoSModel, shares
-) -> np.ndarray:
-    """Rows of ``(share, price, revenue)`` along the marginal-user curve."""
-    lam = np.asarray(shares, dtype=float)
-    if lam.ndim != 1:
-        raise DomainError("shares must be a 1-D array")
-    price = dist.quantile(1.0 - lam) * qos.evaluate(lam)
-    return np.column_stack([lam, price, price * lam])

@@ -139,6 +139,11 @@ class ValuationDistribution:
     def is_uniform(self) -> bool:
         return self._kind is DistributionKind.UNIFORM
 
+    def segments(self):
+        """``(alpha0, alpha1, f0, f1, slope)`` for each linear piece of the
+        density, left to right."""
+        return zip(self._x, self._x[1:], self._f, self._f[1:], self._slope)
+
     # -- density, cdf, quantile -----------------------------------------
 
     def pdf(self, alpha):

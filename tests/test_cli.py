@@ -157,6 +157,18 @@ class TestCompete:
         line = capsys.readouterr().out.splitlines()[0]
         assert line.endswith(f" supermodular={'true' if holds else 'false'}")
 
+    def test_entrant_curve_shorter_than_half_the_market(self, tmp_path, capsys):
+        curve = tmp_path / "short_qos.csv"
+        curve.write_text("lambda,qos\n0,1.0\n0.3,0.8\n")
+        path = tmp_path / "short_curve.json"
+        path.write_text(json.dumps({
+            "distribution": {"kind": "custom", "file": str(SCENARIO_DIR / "triangle_pdf.csv")},
+            "technologies": [{"name": "entry", "qos": {"kind": "tabulated", "file": str(curve)}}],
+            "incumbent": {"q1": 1.5},
+        }))
+        assert cli.main(["compete", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(" supermodular=true")
+
     def test_start_flag_reaches_same_solution(self, tmp_path, capsys):
         assert cli.main(["compete", DUO, "--start", "0.1,0.3",
                          "--out", str(tmp_path)]) == 0

@@ -12,9 +12,12 @@ import qosmarket as qm
 from qosmarket._optim import scan_then_bisect
 from qosmarket.competition import (
     DEFAULT_STARTS,
+    _cross_partials,
+    _own_column,
     _responder,
     _revenue_slope,
     _revenue_surface,
+    _surface_from_column,
     inverse_demand,
     marginal_valuations,
     revenues,
@@ -206,38 +209,71 @@ class TestSupermodularity:
         assert rep.worst_margin == pytest.approx(-899.22, rel=1e-9)
         assert rep.worst_point[1] == 0.30004
 
-    def test_grid_matches_the_row_by_row_loop(self, triangle):
-        """The 2-D finite differences reproduce, bit for bit, a loop over
-        rival shares that scans own shares one row at a time."""
-
-        def loop_report(game):
-            h = 1e-4
-            pts = np.linspace(0.0, 0.5, 101)
-            pts = pts[(pts >= h) & (pts <= 0.5 - h)]
-            worst, worst_point = math.inf, (pts[0], pts[0])
-            for q1 in (game.q1, None):
-                for b in pts:
-                    r_pp, r_pm, r_mp, r_mm = (_revenue_surface(game.dist, game.qos2, pts + do, float(b) + dr, q1)
-                                              for do in (h, -h) for dr in (h, -h))
-                    margin = -(r_pp - r_pm - r_mp + r_mm) / (4.0 * h * h)
-                    i = int(np.argmin(margin))
-                    if margin[i] < worst:
-                        worst = float(margin[i])
-                        own, rival = float(pts[i]), float(b)
-                        worst_point = (own, rival) if q1 is not None else (rival, own)
-            return qm.SupermodularityReport(worst >= -1e-6, worst_point, worst)
-
-        rng = np.random.default_rng(3)
-        games = [qm.CournotGame(triangle, 1.0, qm.QoSModel.constant(0.5))]
-        for _ in range(2):
-            games.append(qm.CournotGame(random_nonincreasing_density(rng), 1.8, qm.QoSModel.linear(1.5, 0.4)))
-        for game in games:
-            assert qm.supermodularity_check(game) == loop_report(game)
-
     def test_custom_density_uses_cross_partials(self, triangle):
         game = qm.CournotGame(triangle, 1.0, qm.QoSModel.constant(0.5))
         rep = qm.supermodularity_check(game)
         assert rep.holds
+
+    def test_vanishing_density_gives_a_finite_margin(self, triangle):
+        # f(beta) = 0: the lam1 = 0 edge would be 0 * inf, and is left out
+        rep = qm.supermodularity_check(qm.CournotGame(triangle, 1.5, qm.QoSModel.constant(0.5)))
+        assert math.isfinite(rep.worst_margin)
+        assert rep.holds is True
+
+    def test_entrant_curve_shorter_than_half_the_market(self, triangle):
+        qos = qm.QoSModel.tabulated([0.0, 0.3], [1.0, 0.8])
+        rep = qm.supermodularity_check(qm.CournotGame(triangle, 1.5, qos))
+        assert rep.holds is True
+        assert 0.0 <= rep.worst_point[0] <= 0.5 and 0.0 <= rep.worst_point[1] <= 0.3
+
+    def test_steep_segment_between_grid_lines_fails_for_a_custom_density(self, triangle):
+        # g + lam2 g' is about -690 just right of 0.3071: the cross-partials
+        # are positive there for any density
+        qos = qm.QoSModel.tabulated([0.0, 0.3071, 0.30714, 1.0], [1.0, 0.99, 0.9, 0.89])
+        rep = qm.supermodularity_check(qm.CournotGame(triangle, 1.5, qos))
+        assert rep.holds is False
+        assert rep.worst_point[1] == 0.30714
+
+    @given(st.floats(0.2, 5.0), entrant_curves(), st.floats(1.05, 2.0))
+    def test_uniform_margin_is_beta_times_the_segment_end_minimum(self, beta, qos, gap):
+        rep = qm.supermodularity_check(qm.CournotGame(qm.ValuationDistribution.uniform(beta),
+                                                     gap * qos.max_value(), qos))
+        hi = min(0.5, qos.domain[1])
+        ends = [(lam, qos.evaluate(lam), s) for lam0, lam1, _, _, s in qos.segments() if lam0 <= hi
+                for lam in (lam0, min(lam1, hi))]
+        want = beta * min(g + lam * s for lam, g, s in ends)
+        # the incumbent's Q(w) - Q(1 - lam1) = -beta lam2 rounds: g' scales that
+        scale = beta * max(g + abs(s) for _, g, s in ends)
+        assert rep.worst_margin == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+        assert rep.holds == (rep.worst_margin >= 0.0)
+
+    def test_closed_form_matches_central_differences(self, triangle):
+        """At seeded points whose difference stencil stays inside one piece of
+        the curve (in lam2) and of the density (in a2), both closed-form
+        cross-partials agree with central differences of the revenues."""
+        h = 1e-5
+        rng = np.random.default_rng(11)
+        games = [seeded_custom_game(seed) for seed in range(6)]
+        games.append(qm.CournotGame(triangle, 1.5, qm.QoSModel.tabulated([0.0, 0.2, 1.0], [1.2, 1.0, 0.7])))
+        checked = 0
+        for game in games:
+            dist, qos = game.dist, game.qos2
+            for lam1, lam2 in rng.uniform(0.01, 0.49, (40, 2)):
+                w = 1.0 - lam1 - lam2
+                lo, hi = dist.quantile(w - 2.0 * h), dist.quantile(w + 2.0 * h)
+                density = [p for p in dist.segments() if p[0] < lo and hi < p[1]]
+                curve = [p for p in qos.segments() if p[0] < lam2 - h and lam2 + h < p[1]]
+                if not (density and curve):
+                    continue
+                a2 = dist.quantile(w)
+                crosses = _cross_partials(dist, *(np.array([v]) for v in (
+                    lam1, lam2, qos.evaluate(lam2), curve[0][4], a2, dist.pdf(a2), density[0][4])))
+                for cross, q1, own, rival in zip(crosses, (game.q1, None), (lam1, lam2), (lam2, lam1)):
+                    r = [_revenue_surface(dist, qos, own + do, rival + dr, q1) for do in (h, -h) for dr in (h, -h)]
+                    fd = (r[0] - r[1] - r[2] + r[3]) / (4.0 * h * h)
+                    assert float(cross[0]) == pytest.approx(fd, rel=1e-5, abs=1e-5)
+                checked += 1
+        assert checked > 150
 
 
 class TestNash:
@@ -402,8 +438,9 @@ def rebuilt_response(game: qm.CournotGame, player: int, other: float) -> float:
     def surface(lam):
         return _revenue_surface(game.dist, game.qos2, lam, other, q1)
 
+    scan = _surface_from_column(game.dist, game.qos2, xs, _own_column(game.dist, game.qos2, xs, q1), other, q1)
     return scan_then_bisect(surface, lambda lam: _revenue_slope(game.dist, game.qos2, lam, other, q1),
-                            xs, surface(xs), kinks)
+                            xs, scan, kinks)
 
 
 class TestOncePerSolveScan:
@@ -426,7 +463,8 @@ class TestOncePerSolveScan:
             game = seeded_custom_game(seed)
             for q1 in (game.q1, None):
                 for other in (0.0, 0.3, 0.7):  # 0.7: past the market's end
-                    surface = _revenue_surface(game.dist, game.qos2, own, other, q1)
+                    surface = _surface_from_column(game.dist, game.qos2, own,
+                                                   _own_column(game.dist, game.qos2, own, q1), other, q1)
                     probes = [_revenue_surface(game.dist, game.qos2, float(o), other, q1) for o in own]
                     assert np.array(probes).tobytes() == surface.tobytes()
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qosmarket as qm
-from qosmarket.duopoly import bertrand_revenues, step_duopoly
+from qosmarket.duopoly import step_duopoly
 from test_monopoly import SHORT_CURVES, full_span_curves, nonincreasing_densities
 
 TOL = 1e-9
@@ -216,6 +216,12 @@ class TestConvergenceCondition:
             lam1, lam2 = tr.final()
             assert lam1 == pytest.approx(eq.lam1, abs=1e-8)
             assert lam2 == pytest.approx(eq.lam2, abs=1e-8)
+
+
+def bertrand_revenues(market: qm.DuopolyMarket) -> tuple[float, float]:
+    """Per-provider revenue at the posted-price equilibrium, as ``analyze`` reports it."""
+    eq = qm.equilibrium_duopoly(market)
+    return market.p1 * eq.lam1, market.p2 * eq.lam2
 
 
 class TestBertrandRevenues:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import qosmarket as qm
 from qosmarket import _optim
 from qosmarket._optim import itp_root, scan_then_bisect
-from qosmarket.competition import _revenue_slope, _revenue_surface
-from qosmarket.revenue import price_from_marginal, revenue_at_price, revenue_curve
+from qosmarket.competition import _own_column, _revenue_slope, _revenue_surface, _surface_from_column
+from qosmarket.revenue import revenue_at_price
 from test_acceptance import random_nonincreasing_density
 from test_monopoly import nonincreasing_densities
 
@@ -106,19 +106,12 @@ class TestRevenueAtPrice:
 
 class TestPriceFromMarginal:
     def test_values(self, uniform1):
+        # the price alpha * g(1 - F(alpha)) makes alpha the marginal user
         const = qm.QoSModel.constant(1.0)
-        assert price_from_marginal(uniform1, const, 0.5) == 0.5
-        assert price_from_marginal(uniform1, const, 0.0) == 0.0
+        assert qm.equilibrium(qm.MonopolyMarket(uniform1, const, 0.5)) == pytest.approx(0.5, abs=1e-12)
         qos = qm.QoSModel.linear(1.0, 0.5)
         # marginal user 0.6 leaves share 0.4, so quality is 0.8
-        assert price_from_marginal(uniform1, qos, 0.6) == pytest.approx(0.48, abs=1e-12)
-
-    def test_domain(self, uniform1):
-        const = qm.QoSModel.constant(1.0)
-        with pytest.raises(qm.DomainError):
-            price_from_marginal(uniform1, const, 1.2)
-        with pytest.raises(qm.DomainError):
-            price_from_marginal(uniform1, const, -0.1)
+        assert qm.equilibrium(qm.MonopolyMarket(uniform1, qos, 0.48)) == pytest.approx(0.4, abs=1e-12)
 
 
 class TestOptimize:
@@ -287,6 +280,14 @@ class TestBounds:
             qm.optimum_bounds(rising, qm.QoSModel.constant(1.0))
 
 
+def revenue_curve(dist, qos, shares):
+    """Rows of ``(share, price, revenue)`` along the marginal-user curve; the
+    revenue is the entrant's against an empty rival."""
+    price = dist.quantile(1.0 - shares) * qos.evaluate(shares)
+    revenue = _surface_from_column(dist, qos, shares, _own_column(dist, qos, shares, None), 0.0, None)
+    return np.column_stack([shares, price, revenue])
+
+
 class TestRevenueCurve:
     def test_rows(self, uniform1):
         qos = qm.QoSModel.linear(1.0, 0.5)
@@ -393,8 +394,10 @@ class TestKinkMaximum:
 
     def test_root_search_alone_lands_within_1e15_of_the_node(self, uniform1):
         qos = qm.QoSModel.tabulated(*self.KINKED)
-        x = scanned(lambda lam: _revenue_surface(uniform1, qos, lam, 0.0, None),
-                    lambda lam: _revenue_slope(uniform1, qos, lam, 0.0, None), 0.0, 0.5, 2_001)
+        xs = np.linspace(0.0, 0.5, 2_001)
+        x = scan_then_bisect(lambda lam: _revenue_surface(uniform1, qos, lam, 0.0, None),
+                             lambda lam: _revenue_slope(uniform1, qos, lam, 0.0, None),
+                             xs, _surface_from_column(uniform1, qos, xs, _own_column(uniform1, qos, xs, None), 0.0, None))
         assert x != 0.29917
         assert abs(x - 0.29917) <= 1e-15
 
