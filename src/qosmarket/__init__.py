@@ -64,7 +64,7 @@ from .monopoly import (
     simulate,
     switching_cost_equilibrium_band,
 )
-from .qos import AffineFit, QoSKind, QoSModel, Technology, fit_affine
+from .qos import AffineFit, QoSModel, Technology, fit_affine
 from .revenue import (
     OptimumBounds,
     RevenueOptimum,
@@ -74,7 +74,7 @@ from .revenue import (
 )
 from .scenario import DynamicsSpec, Scenario, load_scenario
 from .selection import DecisionMap, SelectionProblem, SelectionResult, decision_map, select
-from .valuation import DistributionKind, ValuationDistribution
+from .valuation import ValuationDistribution
 
 __version__ = "0.1.0"
 
@@ -88,9 +88,7 @@ __all__ = [
     "NonConvergenceError",
     "ScenarioError",
     # valuations and QoS
-    "DistributionKind",
     "ValuationDistribution",
-    "QoSKind",
     "QoSModel",
     "Technology",
     "AffineFit",

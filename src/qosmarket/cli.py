@@ -312,10 +312,12 @@ def _add_shared(parser: argparse.ArgumentParser, top_level: bool) -> None:
     # top-level parser already collected from flags placed before the command
     default = None if top_level else argparse.SUPPRESS
     parser.add_argument(
-        "--tol", type=float, default=default, help="override solver tolerance"
+        "--tol", type=float, default=default,
+        help="override solver tolerance (simulate, compete)",
     )
     parser.add_argument(
-        "--max-iter", type=int, default=default, help="override iteration budget"
+        "--max-iter", type=int, default=default,
+        help="override iteration budget (simulate, compete)",
     )
     parser.add_argument(
         "--out", type=Path, default=default, help="directory for CSV outputs (default: .)"
@@ -363,6 +365,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir: Path = args.out if args.out is not None else Path(".")
     try:
+        if args.command in ("analyze", "select", "fit-qos"):
+            for flag, value in (("--tol", args.tol), ("--max-iter", args.max_iter)):
+                if value is not None:
+                    raise ScenarioError(f"{flag} applies to simulate and compete, not {args.command}")
+        if args.command == "select" and args.k_grid2 is not None and args.k_grid is None:
+            raise ScenarioError("--k-grid2: needs --k-grid")
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "fit-qos":
             return cmd_fit_qos(args, out_dir)

@@ -32,7 +32,7 @@ import numpy as np
 from ._optim import scan_then_bisect
 from .duopoly import _check_incumbent, _check_pair
 from .errors import DomainError, ModelError, NonConvergenceError
-from .qos import QoSKind, QoSModel
+from .qos import QoSModel
 from .valuation import ValuationDistribution
 
 __all__ = [
@@ -368,11 +368,7 @@ def _samples(segments, hi: float, rate) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _closed_pair(game: CournotGame):
     """Closed-form best-response functions, or None where there are none."""
-    if (
-        game.dist.is_uniform()
-        and game.qos2.kind is QoSKind.LINEAR
-        and game.qos2.c > 0.0
-    ):
+    if game.dist.is_uniform() and game.qos2.is_affine() and game.qos2.c > 0.0:
         q1, qb, c = game.q1, game.qos2.q_bar, game.qos2.c
         return (
             lambda lam2: best_response_closed(q1, qb, c, 1, lam2),
@@ -396,11 +392,16 @@ def nash_solve(
     grid and the own-share column of its revenue scan serve every round
     and the verification, and each round computes only the column that
     moves with the rival.  Rounds use the closed forms instead where they
-    exist (uniform valuations, a congested linear entrant curve).  Raises
+    exist (uniform valuations, a congested affine entrant curve).  Raises
     NonConvergenceError (carrying the visited path) if the round budget
-    runs out.  The supermodularity certificate that makes the iteration
-    reliable belongs to the game: ``supermodularity_check(game)``.
+    runs out, and DomainError unless ``max_rounds >= 1`` and ``tol > 0``.
+    The supermodularity certificate that makes the iteration reliable
+    belongs to the game: ``supermodularity_check(game)``.
     """
+    if max_rounds < 1:
+        raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     l1, l2 = float(start[0]), float(start[1])
     if not (0.0 <= l1 <= 0.5 and 0.0 <= l2 <= 0.5):
         raise DomainError(f"start must lie in [0, 1/2]^2, got {start!r}")

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._optim import itp_root
 from .errors import DomainError, ModelError
-from .qos import QoSKind, QoSModel
+from .qos import QoSModel
 from .valuation import ValuationDistribution
 
 __all__ = [
@@ -339,7 +339,7 @@ def _threshold(market: MonopolyMarket, target: float) -> float:
 def equilibrium_closed_form(
     dist: ValuationDistribution, qos: QoSModel, price: float
 ) -> float:
-    """Exact equilibrium share for uniform valuations and a linear curve.
+    """Exact equilibrium share for uniform valuations and an affine curve.
 
     Solving ``lam = 1 - p / (beta * g(lam))`` gives
 
@@ -352,8 +352,8 @@ def equilibrium_closed_form(
     """
     if not dist.is_uniform():
         raise ModelError("closed form requires uniform valuations")
-    if qos.kind not in (QoSKind.LINEAR, QoSKind.CONSTANT):
-        raise ModelError("closed form requires a constant or linear quality curve")
+    if not qos.is_affine():
+        raise ModelError("closed form requires an affine quality curve on [0, 1]")
     p = float(price)
     if not math.isfinite(p) or p < 0.0:
         raise ModelError(f"price must be >= 0, got {price}")
@@ -387,14 +387,14 @@ def convergence_condition(
     """Sufficient condition for the synchronous iteration to contract.
 
     Holds when ``max(-g'/g) < 1 / K`` with ``K = max(alpha * f(alpha))``.
-    For uniform valuations with a constant or linear curve the equivalent
+    For uniform valuations with an affine curve the equivalent
     ratio form ``c / q_bar < 1 / (1 + K)`` is reported alongside.
     """
     k = dist.k_constant()
     lhs = _decay_ratio_max(qos)
     rhs = 1.0 / k
     ratio = bound = None
-    if dist.is_uniform() and qos.kind in (QoSKind.LINEAR, QoSKind.CONSTANT):
+    if dist.is_uniform() and qos.is_affine():
         ratio = qos.c / qos.q_bar
         bound = 1.0 / (1.0 + k)
     return ConditionReport(

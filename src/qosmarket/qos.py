@@ -2,10 +2,12 @@
 
 A provider's delivered quality is a function ``g`` of its own subscriber
 share ``lam`` in [0, 1]: positive everywhere and never increasing, since
-more subscribers means more congestion.  Three shapes cover the package:
-constant, affine ``q_bar - c * lam``, and tabulated samples interpolated
-linearly.  A :class:`Technology` bundles a quality curve with the
-recurring infrastructure cost of operating it.
+more subscribers means more congestion.  Every curve is tabulated
+samples interpolated linearly; constant and affine ``q_bar - c * lam``
+curves are the tables on [0, 1] with one slope throughout, however they
+were built, and they are the ones that the paper's closed forms assume.
+A :class:`Technology` bundles a quality curve with the recurring
+infrastructure cost of operating it.
 
 Evaluation methods accept scalars or numpy arrays.
 """
@@ -15,7 +17,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +25,6 @@ from . import _table
 from .errors import DomainError, FitError, ModelError
 
 __all__ = [
-    "QoSKind",
     "QoSModel",
     "Technology",
     "AffineFit",
@@ -37,21 +37,14 @@ __all__ = [
 _MONOTONE_SLACK = 1e-12
 
 
-class QoSKind(Enum):
-    CONSTANT = "constant"
-    LINEAR = "linear"
-    TABULATED = "tabulated"
-
-
 class QoSModel:
     """Share-dependent quality curve ``g(lam)`` on a subinterval of [0, 1].
 
     Construct with :meth:`constant`, :meth:`linear`, :meth:`tabulated`, or
-    :meth:`from_csv`.  Every curve is a piecewise-linear node table: constant
-    and linear curves are two nodes on [0, 1] with slope exactly ``-c``; a
-    tabulated curve is defined on the span of its sample points and
-    evaluation outside that span raises DomainError.  Instances are
-    immutable.
+    :meth:`from_csv`.  Every curve is a piecewise-linear node table, defined
+    on the span of its nodes; evaluation outside that span raises
+    DomainError.  Constant and linear curves are two nodes on [0, 1] with
+    slope exactly ``-c``.  Instances are immutable.
     """
 
     def __init__(self) -> None:
@@ -60,12 +53,9 @@ class QoSModel:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def _from_nodes(cls, kind, x, q, slope, q_bar=None, c=None) -> "QoSModel":
+    def _from_nodes(cls, x, q, slope) -> "QoSModel":
         """Instance over node tuples: shares, qualities, slopes."""
         self = object.__new__(cls)
-        self._kind = kind
-        self._q_bar = q_bar
-        self._c = c
         self._x, self._q, self._slope = x, q, slope
         return self
 
@@ -75,7 +65,7 @@ class QoSModel:
         q = float(q)
         if not math.isfinite(q) or q <= 0.0:
             raise ModelError(f"constant quality must be positive, got {q}")
-        return cls._from_nodes(QoSKind.CONSTANT, (0.0, 1.0), (q, q), (0.0,), q, 0.0)
+        return cls._from_nodes((0.0, 1.0), (q, q), (0.0,))
 
     @classmethod
     def linear(cls, q_bar: float, c: float) -> "QoSModel":
@@ -86,7 +76,7 @@ class QoSModel:
             raise ModelError(f"q_bar must be positive, got {q_bar}")
         if not math.isfinite(c) or c < 0.0 or c >= q_bar:
             raise ModelError(f"need 0 <= c < q_bar, got c={c}, q_bar={q_bar}")
-        return cls._from_nodes(QoSKind.LINEAR, (0.0, 1.0), (q_bar, q_bar - c), (-c,), q_bar, c)
+        return cls._from_nodes((0.0, 1.0), (q_bar, q_bar - c), (-c,))
 
     @classmethod
     def tabulated(cls, lams, qualities) -> "QoSModel":
@@ -112,7 +102,7 @@ class QoSModel:
         if np.any(np.diff(q) > _MONOTONE_SLACK):
             raise ModelError("quality samples must be non-increasing")
         slope = np.diff(q) / np.diff(x)
-        return cls._from_nodes(QoSKind.TABULATED, *(tuple(a.tolist()) for a in (x, q, slope)))
+        return cls._from_nodes(*(tuple(a.tolist()) for a in (x, q, slope)))
 
     @classmethod
     def from_csv(cls, path) -> "QoSModel":
@@ -129,23 +119,26 @@ class QoSModel:
 
     # -- properties -------------------------------------------------------
 
-    @property
-    def kind(self) -> QoSKind:
-        return self._kind
+    def is_affine(self) -> bool:
+        """True when the curve spans exactly [0, 1] and every segment has the
+        same slope: ``q_bar - c * lam``, constant when ``c = 0``."""
+        return self.domain == (0.0, 1.0) and all(s == self._slope[0] for s in self._slope)
 
     @property
     def q_bar(self) -> float:
-        """Unloaded quality for constant/linear curves."""
-        if self._q_bar is None:
-            raise ModelError("q_bar is defined only for constant/linear curves")
-        return self._q_bar
+        """Unloaded quality ``g(0)`` of an affine curve; ModelError for any
+        other curve (see :meth:`is_affine`)."""
+        if not self.is_affine():
+            raise ModelError("q_bar is defined only for affine curves on [0, 1]")
+        return self._q[0]
 
     @property
     def c(self) -> float:
-        """Degradation slope for constant/linear curves (0 for constant)."""
-        if self._c is None:
-            raise ModelError("c is defined only for constant/linear curves")
-        return self._c
+        """Degradation slope ``-g'`` of an affine curve (0 for a constant
+        one); ModelError for any other curve (see :meth:`is_affine`)."""
+        if not self.is_affine():
+            raise ModelError("c is defined only for affine curves on [0, 1]")
+        return 0.0 - self._slope[0]  # a flat curve gives +0.0, not -0.0
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -195,10 +188,10 @@ class QoSModel:
         return slope[_table.indices(x, np.asarray(lam, dtype=float))]
 
     def __repr__(self) -> str:
-        if self._kind is QoSKind.CONSTANT:
-            return f"QoSModel.constant({self._q_bar!r})"
-        if self._kind is QoSKind.LINEAR:
-            return f"QoSModel.linear(q_bar={self._q_bar!r}, c={self._c!r})"
+        if self.is_affine():
+            if self.c == 0.0:
+                return f"QoSModel.constant({self.q_bar!r})"
+            return f"QoSModel.linear(q_bar={self.q_bar!r}, c={self.c!r})"
         return f"<QoSModel tabulated nodes={len(self._x)} span={self.domain}>"
 
 

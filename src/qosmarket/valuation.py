@@ -2,10 +2,12 @@
 
 A user with valuation ``alpha`` gets utility ``alpha * q - p`` from a
 service of quality ``q`` priced at ``p``.  Valuations live on a bounded
-interval ``[0, beta]`` and are described either by a uniform density or
-by linear interpolation of tabulated density samples.  Demand facing any
-provider is a tail probability of this distribution, so the cdf and its
-inverse are the workhorses of every solver in the package.
+interval ``[0, beta]`` and are described by linear interpolation of
+density samples; the uniform density is the case where every sample is
+equal, however the samples were given, and it is the one that the
+paper's closed forms assume.  Demand facing any provider is a tail
+probability of this distribution, so the cdf and its inverse are the
+workhorses of every solver in the package.
 
 All evaluation methods accept scalars or numpy arrays and return values
 of matching shape.
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +25,6 @@ from . import _table
 from .errors import DomainError, ModelError
 
 __all__ = [
-    "DistributionKind",
     "ValuationDistribution",
     "load_pdf_samples",
     "save_pdf_samples",
@@ -34,17 +34,13 @@ _INTEGRAL_TOL = 1e-9
 _MONOTONE_SLACK = 1e-12
 
 
-class DistributionKind(Enum):
-    UNIFORM = "uniform"
-    CUSTOM = "custom"
-
-
 class ValuationDistribution:
     """Distribution of user valuations on ``[0, beta]``.
 
     Construct with :meth:`uniform`, :meth:`from_samples`, or
-    :meth:`from_csv`.  Every density is a piecewise-linear node table (a
-    uniform density is two equal nodes at 0 and beta); the cdf is the exact
+    :meth:`from_csv`.  Every density is a piecewise-linear node table
+    (:meth:`uniform` builds two equal nodes at 0 and beta, and any table
+    whose nodes are all equal is uniform just the same); the cdf is the exact
     integral of that interpolant, rescaled so it reaches exactly 1 at
     ``beta``.  The raw sample integral must already be within 1e-9 of 1.
     Density samples must be positive at interior nodes; the two endpoint
@@ -59,10 +55,9 @@ class ValuationDistribution:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def _from_nodes(cls, kind, x, f, cum, slope) -> "ValuationDistribution":
+    def _from_nodes(cls, x, f, cum, slope) -> "ValuationDistribution":
         """Instance over node tuples: positions, densities, cdf, slopes."""
         self = object.__new__(cls)
-        self._kind = kind
         self._beta = x[-1]
         self._x, self._f, self._cum, self._slope = x, f, cum, slope
         return self
@@ -74,7 +69,7 @@ class ValuationDistribution:
         if not math.isfinite(beta) or beta <= 0.0:
             raise ModelError(f"beta must be positive and finite, got {beta}")
         h = 1.0 / beta
-        return cls._from_nodes(DistributionKind.UNIFORM, (0.0, beta), (h, h), (0.0, 1.0), (0.0,))
+        return cls._from_nodes((0.0, beta), (h, h), (0.0, 1.0), (0.0,))
 
     @classmethod
     def from_samples(cls, alphas, densities) -> "ValuationDistribution":
@@ -110,7 +105,7 @@ class ValuationDistribution:
         cum = np.concatenate(([0.0], np.cumsum(np.diff(x) * 0.5 * (f[:-1] + f[1:]))))
         cum[-1] = 1.0
         slope = np.diff(f) / np.diff(x)
-        return cls._from_nodes(DistributionKind.CUSTOM, *(tuple(a.tolist()) for a in (x, f, cum, slope)))
+        return cls._from_nodes(*(tuple(a.tolist()) for a in (x, f, cum, slope)))
 
     @classmethod
     def from_csv(cls, path) -> "ValuationDistribution":
@@ -128,16 +123,13 @@ class ValuationDistribution:
     # -- basic properties -----------------------------------------------
 
     @property
-    def kind(self) -> DistributionKind:
-        return self._kind
-
-    @property
     def beta(self) -> float:
         """Upper end of the valuation support."""
         return self._beta
 
     def is_uniform(self) -> bool:
-        return self._kind is DistributionKind.UNIFORM
+        """True when the density has the same value at every node."""
+        return all(f == self._f[0] for f in self._f)
 
     def segments(self):
         """``(alpha0, alpha1, f0, f1, slope)`` for each linear piece of the
@@ -233,7 +225,7 @@ class ValuationDistribution:
         On each segment ``alpha * pdf(alpha)`` is a quadratic, so the
         maximum sits at a node or at the vertex of a falling segment.
         """
-        if self._kind is DistributionKind.UNIFORM:
+        if self.is_uniform():
             return 1.0
         best = max(x * f for x, f in zip(self._x, self._f))
         for x0, x1, f0, s in zip(self._x, self._x[1:], self._f, self._slope):
@@ -257,7 +249,7 @@ class ValuationDistribution:
         return all(f1 - f0 <= _MONOTONE_SLACK for f0, f1 in zip(self._f, self._f[1:]))
 
     def __repr__(self) -> str:
-        if self._kind is DistributionKind.UNIFORM:
+        if self.is_uniform():
             return f"ValuationDistribution.uniform(beta={self._beta!r})"
         return (
             f"<ValuationDistribution custom beta={self._beta!r} "

@@ -185,6 +185,13 @@ class TestCompete:
         assert len(rows) == 4  # header, start, two rounds
         assert rows[1][0] == "0" and rows[-1][0] == "2"
 
+    @pytest.mark.parametrize("flag, value, name", [("--max-iter", "0", "max_rounds"),
+                                                   ("--tol", "0", "tol")])
+    def test_empty_budget_is_a_configuration_error(self, flag, value, name, tmp_path, capsys):
+        assert cli.main(["compete", DUO, flag, value, "--out", str(tmp_path)]) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "split_duopoly_compete.csv").exists()
+
     def test_needs_an_incumbent(self, tmp_path, capsys):
         assert cli.main(["compete", MONO, "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
@@ -248,6 +255,24 @@ class TestFitQos:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", MONO, "--tol", "1e-8"],
+        ["analyze", MONO, "--max-iter", "5"],
+        ["select", MONO, "--tol", "1e-8"],
+        ["select", MONO, "--max-iter", "5"],
+        ["fit-qos", QOS_CSV, "--tol", "1e-8"],
+        ["fit-qos", QOS_CSV, "--max-iter", "5"],
+        ["--tol", "1e-8", "analyze", MONO],
+        ["--max-iter", "5", "select", MONO],
+        ["--max-iter", "5", "fit-qos", QOS_CSV],
+        ["select", MONO, "--k-grid2", "0:1:3"],
+    ])
+    def test_ignored_flags_are_refused(self, argv, tmp_path, capsys):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        flag = next(a for a in argv if a.startswith("--"))
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_scenario(self, tmp_path, capsys):
         assert cli.main(["simulate", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path)]) == 2

@@ -357,6 +357,14 @@ class TestNash:
         with pytest.raises(qm.DomainError):
             qm.nash_solve(linear_game(), (-0.1, 0.1), 100, 1e-10)
 
+    @pytest.mark.parametrize("rounds, tol, name", [
+        (0, 1e-10, "max_rounds"), (-1, 1e-10, "max_rounds"),
+        (100, 0.0, "tol"), (100, -1e-10, "tol"), (100, float("nan"), "tol"),
+    ])
+    def test_budget_validation(self, rounds, tol, name):
+        with pytest.raises(qm.DomainError, match=name):
+            qm.nash_solve(linear_game(), (0.25, 0.25), rounds, tol)
+
     def test_entrant_curve_must_start_at_share_zero(self, triangle):
         late = qm.QoSModel.tabulated([0.1, 1.0], [1.0, 0.8])
         with pytest.raises(qm.ModelError, match=r"\[0\.1, 1\.0\]"):

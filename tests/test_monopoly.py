@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qosmarket as qm
@@ -258,9 +258,40 @@ class TestClosedForm:
         qos = qm.QoSModel.linear(1.0, 0.5)
         with pytest.raises(qm.ModelError):
             qm.equilibrium_closed_form(triangle, qos, 0.3)
-        tab = qm.QoSModel.tabulated([0.0, 1.0], [1.0, 0.9])
+        tab = qm.QoSModel.tabulated([0.0, 0.5, 1.0], [1.0, 0.95, 0.8])  # kinked
         with pytest.raises(qm.ModelError):
             qm.equilibrium_closed_form(uniform1, tab, 0.3)
+
+
+class TestRepresentationInvariance:
+    """The closed forms hold for any flat density and any affine curve on
+    [0, 1], whichever constructor built the table."""
+
+    @given(beta=st.floats(0.5, 2.0), mid=st.sampled_from([None, 0.5, 0.13]),
+           q_bar=st.floats(1.0, 2.0), c_frac=st.sampled_from([0.0, 0.01, 0.054, 0.3, 0.9]),
+           q1_mult=st.floats(1.05, 2.0), p_frac=st.floats(0.0, 1.2))
+    @settings(max_examples=30)
+    def test_flat_density_and_two_node_curve_take_the_closed_forms(
+            self, beta, mid, q_bar, c_frac, q1_mult, p_frac):
+        xs = [0.0, beta] if mid is None else [0.0, mid * beta, beta]
+        dists = (qm.ValuationDistribution.uniform(beta),
+                 qm.ValuationDistribution.from_samples(xs, [1.0 / beta] * len(xs)))
+        c = c_frac * q_bar
+        curves = (qm.QoSModel.linear(q_bar, c), qm.QoSModel.tabulated([0.0, 1.0], [q_bar, q_bar - c]))
+        price = p_frac * beta * q_bar
+        ref_bounds = qm.optimum_bounds(dists[0], curves[0])
+        ref_cond = qm.convergence_condition(dists[0], curves[0])
+        ref_lam = qm.equilibrium_closed_form(dists[0], curves[0], price)
+        ref_nash = qm.nash_solve(qm.CournotGame(dists[0], q1_mult * q_bar, curves[0]))
+        for dist in dists:
+            for qos in curves:
+                assert qm.optimum_bounds(dist, qos).tightened == ref_bounds.tightened
+                cond = qm.convergence_condition(dist, qos)
+                assert (cond.degradation_ratio is None) == (ref_cond.degradation_ratio is None)
+                assert qm.equilibrium_closed_form(dist, qos, price) == pytest.approx(ref_lam, abs=1e-12)
+                nash = qm.nash_solve(qm.CournotGame(dist, q1_mult * q_bar, qos))
+                assert nash.lam1 == pytest.approx(ref_nash.lam1, abs=1e-9)
+                assert nash.lam2 == pytest.approx(ref_nash.lam2, abs=1e-9)
 
 
 class TestConvergenceCondition:

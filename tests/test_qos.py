@@ -146,16 +146,21 @@ class TestConstruction:
         assert (g.q_bar, g.c) == (1.633, 0.088)
         const = qm.QoSModel.constant(2.0)
         assert (const.q_bar, const.c) == (2.0, 0.0)
-        t = qm.QoSModel.tabulated([0.0, 1.0], [1.0, 0.9])
+        two = qm.QoSModel.tabulated([0.0, 1.0], [1.633, 1.545])
+        assert two.q_bar == 1.633 and two.c == pytest.approx(0.088, abs=1e-15)
+        assert str(qm.QoSModel.linear(1.0, 0.0).c) == "0.0"  # not -0.0
+        t = qm.QoSModel.tabulated([0.0, 0.5, 1.0], [1.0, 0.95, 0.8])  # kinked
         with pytest.raises(qm.ModelError):
             t.q_bar
         with pytest.raises(qm.ModelError):
             t.c
 
     def test_kinds(self):
-        assert qm.QoSModel.constant(1.0).kind is qm.QoSKind.CONSTANT
-        assert qm.QoSModel.linear(1.0, 0.1).kind is qm.QoSKind.LINEAR
-        assert qm.QoSModel.tabulated([0, 1], [1, 0.9]).kind is qm.QoSKind.TABULATED
+        assert qm.QoSModel.constant(1.0).is_affine()
+        assert qm.QoSModel.linear(1.0, 0.1).is_affine()
+        assert qm.QoSModel.tabulated([0, 1], [1, 0.9]).is_affine()
+        assert not qm.QoSModel.tabulated([0, 0.5, 1], [1, 0.95, 0.8]).is_affine()
+        assert not qm.QoSModel.tabulated([0, 0.5], [1, 0.95]).is_affine()
 
 
 class TestAffineFit:
@@ -169,7 +174,7 @@ class TestAffineFit:
 
     def test_flat_samples_give_zero_slope(self):
         fit = qm.fit_affine([0.0, 1.0], [1.0, 1.0])
-        assert fit.model.kind is qm.QoSKind.LINEAR
+        assert fit.model.is_affine()
         assert fit.model.q_bar == pytest.approx(1.0, abs=1e-12)
         assert fit.model.c == pytest.approx(0.0, abs=1e-12)
 
@@ -239,7 +244,7 @@ class TestCsvFormat:
         path = tmp_path / "qos.csv"
         save_qos_samples(path, [0.0, 0.5, 1.0], [1.0, 0.8, 0.7])
         g = qm.QoSModel.from_csv(path)
-        assert g.kind is qm.QoSKind.TABULATED
+        assert not g.is_affine()
         assert g.evaluate(0.25) == pytest.approx(0.9, abs=1e-12)
 
     def test_header_is_checked(self, tmp_path):
