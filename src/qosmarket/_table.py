@@ -1,11 +1,17 @@
-"""Piecewise-linear node tables, the one representation of both model inputs.
+"""Piecewise-linear node tables and the package's CSV files.
 
 A valuation density and a quality curve are each node positions ``xs``
 (strictly ascending), node values ``ys`` and segment slopes (``slopes[i]``
-holds between ``xs[i]`` and ``xs[i + 1]``), as tuples of floats, read from
-and written to two-column CSV files.  Between nodes the value is ``ys[i] +
-slopes[i] * (t - xs[i])``, the expression ``np.interp`` evaluates, so the
-scalar and array paths agree bit for bit; node values come back exactly.
+holds between ``xs[i]`` and ``xs[i + 1]``), as tuples of floats.  Between
+nodes the value is ``ys[i] + slopes[i] * (t - xs[i])``, the expression
+``np.interp`` evaluates, so the scalar and array paths agree bit for bit;
+node values come back exactly.  :func:`samples` holds the rules that both
+tables' samples (and the samples of an affine fit) obey.
+
+Every CSV file the package writes goes through :func:`write_rows`, which
+prints each cell with :func:`fmt` (numbers to 12 significant digits, -0.0
+as ``0``); every two-column file it reads goes through
+:func:`read_columns`, which names the file in any error.
 """
 
 from __future__ import annotations
@@ -17,6 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModelError
+
+# how far a sample may rise above its left neighbour and still count as
+# non-increasing
+MONOTONE_SLACK = 1e-12
 
 
 def indices(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -49,11 +59,35 @@ def frozen_arrays(*columns: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     return out
 
 
-def read_columns(path, header: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """Read two numeric columns below ``header`` from a CSV file.
+def samples(xs, ys, names: tuple[str, str], error=ModelError, sort=False):
+    """``xs`` and ``ys`` as float arrays, checked against the rules every
+    sample table shares: 1-D and of equal length, at least two samples,
+    finite values and strictly ascending positions (distinct ones, put in
+    ascending order, when ``sort``).  A broken rule raises ``error``, whose
+    message calls the two arguments ``names``."""
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
+        raise error(f"{names[0]} and {names[1]} must be 1-D arrays of equal length")
+    if x.size < 2:
+        raise error(f"need at least two samples, got {x.size}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise error(f"{names[0]} and {names[1]} must be finite")
+    if sort:
+        order = np.argsort(x, kind="stable")
+        x, y = x[order], y[order]
+    if np.any(np.diff(x) <= 0.0):
+        raise error(f"{names[0]} must be {'distinct' if sort else 'strictly ascending'}")
+    return x, y
 
-    Structural problems (bad header, non-numeric cells, short rows, fewer
-    than two rows) raise ModelError naming the file and 1-based line number.
+
+def read_columns(path, header: tuple[str, str], build=None):
+    """Two numeric columns below ``header`` in a CSV file, as arrays, or
+    what ``build`` makes of them.
+
+    Every ModelError names the file: structural problems (bad header,
+    non-numeric cells, short rows, fewer than two rows) with their 1-based
+    line number, and those ``build`` raises in front of its message.
     """
     path = Path(path)
     rows: list[tuple[float, float]] = []
@@ -73,14 +107,37 @@ def read_columns(path, header: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]
                 raise ModelError(f"{path}:{lineno}: non-numeric value in {row}") from exc
     if len(rows) < 2:
         raise ModelError(f"{path}: need at least two sample rows")
-    first, second = zip(*rows)
-    return np.asarray(first), np.asarray(second)
+    first, second = (np.asarray(c) for c in zip(*rows))
+    if build is None:
+        return first, second
+    try:
+        return build(first, second)
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from exc
 
 
-def write_columns(path, header: tuple[str, str], first, second) -> None:
-    """Write two columns below ``header``, 12 significant digits each."""
-    rows = zip(np.asarray(first, dtype=float), np.asarray(second, dtype=float))
+def fmt(value) -> str:
+    """One CSV cell or summary value: booleans as ``true``/``false``,
+    integers as they are, text untouched, and any other number to 12
+    significant digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    # adding 0.0 folds negative zero into plain zero
+    return f"{float(value) + 0.0:.12g}"
+
+
+def write_rows(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` as CSV, every cell through :func:`fmt`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([f"{a:.12g}", f"{b:.12g}"] for a, b in rows)
+        writer.writerows(map(fmt, row) for row in rows)
+
+
+def write_columns(path, header: tuple[str, str], first, second) -> None:
+    """Write two numeric columns below ``header``."""
+    write_rows(path, header, zip(np.asarray(first, dtype=float), np.asarray(second, dtype=float)))

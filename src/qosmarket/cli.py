@@ -7,42 +7,31 @@ trajectory), ``select`` (technology profit table and optional cost-grid
 decision map), ``fit-qos`` (affine fit of measured QoS samples).
 
 Outputs land in ``--out`` (default: current directory) named
-``<scenario>_<command>.csv``.  All numbers print with 12 significant
-digits; runs are byte-for-byte reproducible.  Exit codes: 0 success,
+``<scenario>_<command>.csv``.  Every CSV file goes through the package's
+one writer, ``_table.write_rows``, and every number on stdout and in a
+cell through its ``fmt``: 12 significant digits, ``true``/``false`` for
+verdicts; runs are byte-for-byte reproducible.  Scenario files are read
+by :func:`qosmarket.scenario.load_scenario`, which looks each ``kind`` up
+in one table per section (``scenario._KINDS``).  Exit codes: 0 success,
 2 configuration error, 3 required convergence failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import competition, duopoly, monopoly, revenue, selection
+from ._table import fmt, write_rows
 from .errors import MarketError, NonConvergenceError, ScenarioError
 from .monopoly import Synchronous
 from .qos import Technology, fit_affine, load_qos_samples
 from .scenario import Scenario, load_scenario
 
 __all__ = ["main", "console_main"]
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    # adding 0.0 folds negative zero into plain zero
-    return f"{float(value) + 0.0:.12g}"
-
-
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
 
 
 def _pick_entry(scenario: Scenario, name: str | None) -> Technology:
@@ -52,21 +41,12 @@ def _pick_entry(scenario: Scenario, name: str | None) -> Technology:
     return tech
 
 
-def _dynamics_settings(scenario: Scenario, args) -> tuple[int, float]:
-    max_iter = 10_000 if scenario.dynamics is None else scenario.dynamics.max_iter
-    tol = 1e-10 if scenario.dynamics is None else scenario.dynamics.tol
-    if args.max_iter is not None:
-        max_iter = args.max_iter
-    if args.tol is not None:
-        tol = args.tol
-    return max_iter, tol
-
-
 def cmd_simulate(scenario: Scenario, args, out_dir: Path) -> int:
     if scenario.dynamics is None:
         raise ScenarioError(f"scenario {scenario.name!r} has no dynamics section")
     dyn = scenario.dynamics
-    max_iter, tol = _dynamics_settings(scenario, args)
+    max_iter = dyn.max_iter if args.max_iter is None else args.max_iter
+    tol = dyn.tol if args.tol is None else args.tol
     tech = _pick_entry(scenario, args.technology)
     two_sided = scenario.q1 is not None and scenario.p1 is not None
     if two_sided:
@@ -91,14 +71,14 @@ def cmd_simulate(scenario: Scenario, args, out_dir: Path) -> int:
     trace.to_csv(out_path)
     final = trace.final()
     final_txt = (
-        f"final_lambda1={_fmt(final[0])} final_lambda2={_fmt(final[1])}"
+        f"final_lambda1={fmt(final[0])} final_lambda2={fmt(final[1])}"
         if isinstance(final, tuple)
-        else f"final_lambda2={_fmt(final)}"
+        else f"final_lambda2={fmt(final)}"
     )
     print(
         f"simulate name={scenario.name} technology={tech.name} "
-        f"converged={_fmt(trace.converged)} iterations={trace.iterations} "
-        f"residual={_fmt(trace.residual)} {final_txt}"
+        f"converged={fmt(trace.converged)} iterations={trace.iterations} "
+        f"residual={fmt(trace.residual)} {final_txt}"
     )
     print(f"wrote {out_path}")
     return 0
@@ -108,7 +88,7 @@ def cmd_analyze(scenario: Scenario, args, out_dir: Path) -> int:
     tech = _pick_entry(scenario, args.technology)
     dist = scenario.dist
     qos = tech.qos
-    rows: list[tuple[str, str, str]] = [
+    rows: list[tuple] = [
         ("meta", "scenario", scenario.name),
         ("meta", "technology", tech.name),
     ]
@@ -116,57 +96,45 @@ def cmd_analyze(scenario: Scenario, args, out_dir: Path) -> int:
         market = monopoly.MonopolyMarket(dist, qos, scenario.p2)
         share = monopoly.equilibrium(market)
         rows += [
-            ("monopoly_equilibrium", "price", _fmt(scenario.p2)),
-            ("monopoly_equilibrium", "share", _fmt(share)),
-            ("monopoly_equilibrium", "revenue", _fmt(scenario.p2 * share)),
+            ("monopoly_equilibrium", "price", scenario.p2),
+            ("monopoly_equilibrium", "share", share),
+            ("monopoly_equilibrium", "revenue", scenario.p2 * share),
         ]
     cond = monopoly.convergence_condition(dist, qos)
     rows += [
-        ("monopoly_stability", "holds", _fmt(cond.holds)),
-        ("monopoly_stability", "lhs", _fmt(cond.lhs)),
-        ("monopoly_stability", "rhs", _fmt(cond.rhs)),
+        ("monopoly_stability", "holds", cond.holds),
+        ("monopoly_stability", "lhs", cond.lhs),
+        ("monopoly_stability", "rhs", cond.rhs),
     ]
     if cond.degradation_ratio is not None:
         rows += [
-            ("monopoly_stability", "degradation_ratio", _fmt(cond.degradation_ratio)),
-            ("monopoly_stability", "degradation_bound", _fmt(cond.degradation_bound)),
+            ("monopoly_stability", "degradation_ratio", cond.degradation_ratio),
+            ("monopoly_stability", "degradation_bound", cond.degradation_bound),
         ]
     opt = revenue.optimize(dist, qos)
     rows += [
-        ("revenue_optimum", "share", _fmt(opt.share)),
-        ("revenue_optimum", "marginal_valuation", _fmt(opt.marginal_valuation)),
-        ("revenue_optimum", "price", _fmt(opt.price)),
-        ("revenue_optimum", "revenue", _fmt(opt.revenue)),
+        ("revenue_optimum", "share", opt.share),
+        ("revenue_optimum", "marginal_valuation", opt.marginal_valuation),
+        ("revenue_optimum", "price", opt.price),
+        ("revenue_optimum", "revenue", opt.revenue),
     ]
     if dist.is_nonincreasing_pdf():
         bounds = revenue.optimum_bounds(dist, qos)
         rows += [
-            ("optimum_bounds", "applicable", "true"),
-            ("optimum_bounds", "tightened", _fmt(bounds.tightened)),
-            ("optimum_bounds", "share_low", _fmt(bounds.share_low)),
-            ("optimum_bounds", "share_high", _fmt(bounds.share_high)),
-            ("optimum_bounds", "alpha_low", _fmt(bounds.alpha_low)),
-            ("optimum_bounds", "alpha_high", _fmt(bounds.alpha_high)),
-            ("optimum_bounds", "price_low", _fmt(bounds.price_low)),
-            ("optimum_bounds", "price_high", _fmt(bounds.price_high)),
-            (
-                "optimum_bounds",
-                "share_within",
-                _fmt(bounds.share_low < opt.share <= bounds.share_high),
-            ),
-            (
-                "optimum_bounds",
-                "alpha_within",
-                _fmt(bounds.alpha_low <= opt.marginal_valuation < bounds.alpha_high),
-            ),
-            (
-                "optimum_bounds",
-                "price_within",
-                _fmt(bounds.price_low <= opt.price < bounds.price_high),
-            ),
+            ("optimum_bounds", "applicable", True),
+            ("optimum_bounds", "tightened", bounds.tightened),
+            ("optimum_bounds", "share_low", bounds.share_low),
+            ("optimum_bounds", "share_high", bounds.share_high),
+            ("optimum_bounds", "alpha_low", bounds.alpha_low),
+            ("optimum_bounds", "alpha_high", bounds.alpha_high),
+            ("optimum_bounds", "price_low", bounds.price_low),
+            ("optimum_bounds", "price_high", bounds.price_high),
+            ("optimum_bounds", "share_within", bounds.share_low < opt.share <= bounds.share_high),
+            ("optimum_bounds", "alpha_within", bounds.alpha_low <= opt.marginal_valuation < bounds.alpha_high),
+            ("optimum_bounds", "price_within", bounds.price_low <= opt.price < bounds.price_high),
         ]
     else:
-        rows.append(("optimum_bounds", "applicable", "false"))
+        rows.append(("optimum_bounds", "applicable", False))
     if scenario.q1 is not None:
         if scenario.p1 is not None and scenario.p2 is not None:
             market2 = duopoly.DuopolyMarket(
@@ -176,44 +144,37 @@ def cmd_analyze(scenario: Scenario, args, out_dir: Path) -> int:
             r1, r2 = scenario.p1 * eq.lam1, scenario.p2 * eq.lam2
             rows += [
                 ("duopoly_equilibrium", "regime", eq.regime.value),
-                ("duopoly_equilibrium", "lambda1", _fmt(eq.lam1)),
-                ("duopoly_equilibrium", "lambda2", _fmt(eq.lam2)),
+                ("duopoly_equilibrium", "lambda1", eq.lam1),
+                ("duopoly_equilibrium", "lambda2", eq.lam2),
             ]
             if eq.theta1 is not None:
                 rows += [
-                    ("duopoly_equilibrium", "theta1", _fmt(eq.theta1)),
-                    ("duopoly_equilibrium", "theta2", _fmt(eq.theta2)),
+                    ("duopoly_equilibrium", "theta1", eq.theta1),
+                    ("duopoly_equilibrium", "theta2", eq.theta2),
                 ]
             rows += [
-                ("duopoly_equilibrium", "revenue1", _fmt(r1)),
-                ("duopoly_equilibrium", "revenue2", _fmt(r2)),
+                ("duopoly_equilibrium", "revenue1", r1),
+                ("duopoly_equilibrium", "revenue2", r2),
             ]
         cond2 = duopoly.convergence_condition_duopoly(dist, scenario.q1, qos)
         rows += [
-            ("duopoly_stability", "holds", _fmt(cond2.holds)),
-            ("duopoly_stability", "lhs", _fmt(cond2.lhs)),
-            ("duopoly_stability", "rhs", _fmt(cond2.rhs)),
+            ("duopoly_stability", "holds", cond2.holds),
+            ("duopoly_stability", "lhs", cond2.lhs),
+            ("duopoly_stability", "rhs", cond2.rhs),
         ]
     out_path = out_dir / f"{scenario.name}_analyze.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = _writer(fh)
-        writer.writerow(["section", "key", "value"])
-        writer.writerows(rows)
+    write_rows(out_path, ("section", "key", "value"), rows)
     print(f"analyze name={scenario.name} technology={tech.name} rows={len(rows)}")
     print(f"wrote {out_path}")
     return 0
 
 
 def _write_trajectory(path: Path, game: competition.CournotGame, points) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = _writer(fh)
-        writer.writerow(["round", "lambda1", "lambda2", "p1", "p2", "R1", "R2"])
-        for rnd, (l1, l2) in enumerate(points):
-            p1, p2 = competition.inverse_demand(game, l1, l2)
-            r1, r2 = competition.revenues(game, l1, l2)
-            writer.writerow(
-                [rnd, _fmt(l1), _fmt(l2), _fmt(p1), _fmt(p2), _fmt(r1), _fmt(r2)]
-            )
+    write_rows(path, ("round", "lambda1", "lambda2", "p1", "p2", "R1", "R2"), (
+        (rnd, l1, l2, *competition.inverse_demand(game, l1, l2),
+         *competition.revenues(game, l1, l2))
+        for rnd, (l1, l2) in enumerate(points)
+    ))
 
 
 def cmd_compete(scenario: Scenario, args, out_dir: Path) -> int:
@@ -234,10 +195,10 @@ def cmd_compete(scenario: Scenario, args, out_dir: Path) -> int:
     _write_trajectory(out_path, game, outcome.path)
     print(
         f"compete name={scenario.name} technology={tech.name} rounds={outcome.iterations} "
-        f"lambda1={_fmt(outcome.lam1)} lambda2={_fmt(outcome.lam2)} "
-        f"p1={_fmt(outcome.p1)} p2={_fmt(outcome.p2)} "
-        f"r1={_fmt(outcome.r1)} r2={_fmt(outcome.r2)} "
-        f"supermodular={_fmt(competition.supermodularity_check(game).holds)}"
+        f"lambda1={fmt(outcome.lam1)} lambda2={fmt(outcome.lam2)} "
+        f"p1={fmt(outcome.p1)} p2={fmt(outcome.p2)} "
+        f"r1={fmt(outcome.r1)} r2={fmt(outcome.r2)} "
+        f"supermodular={fmt(competition.supermodularity_check(game).holds)}"
     )
     print(f"wrote {out_path}")
     return 0
@@ -271,14 +232,11 @@ def cmd_select(scenario: Scenario, args, out_dir: Path) -> int:
     )
     result = selection.select(problem)
     out_path = out_dir / f"{scenario.name}_select.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = _writer(fh)
-        writer.writerow(["technology", "cost", "revenue", "profit"])
-        for tech, (name, profit) in zip(problem.ordered(), result.profits):
-            gross = profit + tech.cost_per_period if tech.is_entry else 0.0
-            writer.writerow(
-                [name, _fmt(tech.cost_per_period), _fmt(gross), _fmt(profit)]
-            )
+    write_rows(out_path, ("technology", "cost", "revenue", "profit"), (
+        (name, tech.cost_per_period, profit + tech.cost_per_period if tech.is_entry else 0.0,
+         profit)
+        for tech, (name, profit) in zip(problem.ordered(), result.profits)
+    ))
     print(f"select name={scenario.name} chosen={result.chosen.name}")
     print(f"wrote {out_path}")
     if grid1 is not None:
@@ -293,15 +251,11 @@ def cmd_fit_qos(args, out_dir: Path) -> int:
     lams, qualities = load_qos_samples(args.csvfile)
     fit = fit_affine(lams, qualities)
     out_path = out_dir / f"{Path(args.csvfile).stem}_fit-qos.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = _writer(fh)
-        writer.writerow(["q_bar", "c", "rms_residual"])
-        writer.writerow(
-            [_fmt(fit.model.q_bar), _fmt(fit.model.c), _fmt(fit.rms_residual)]
-        )
+    write_rows(out_path, ("q_bar", "c", "rms_residual"),
+               [(fit.model.q_bar, fit.model.c, fit.rms_residual)])
     print(
-        f"fit-qos file={args.csvfile} q_bar={_fmt(fit.model.q_bar)} "
-        f"c={_fmt(fit.model.c)} rms_residual={_fmt(fit.rms_residual)}"
+        f"fit-qos file={args.csvfile} q_bar={fmt(fit.model.q_bar)} "
+        f"c={fmt(fit.model.c)} rms_residual={fmt(fit.rms_residual)}"
     )
     print(f"wrote {out_path}")
     return 0

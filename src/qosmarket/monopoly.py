@@ -22,12 +22,12 @@ any starting share.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _table
 from ._optim import itp_root
 from .errors import DomainError, ModelError
 from .qos import QoSModel
@@ -172,16 +172,9 @@ class DynamicsTrace:
 
     def to_csv(self, path) -> None:
         """Write ``t,lambda2`` rows (one provider) or ``t,lambda1,lambda2``."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            if self.shares.ndim == 1:
-                writer.writerow(["t", "lambda2"])
-                for t, lam in enumerate(self.shares):
-                    writer.writerow([t, f"{lam:.12g}"])
-            else:
-                writer.writerow(["t", "lambda1", "lambda2"])
-                for t, (l1, l2) in enumerate(self.shares):
-                    writer.writerow([t, f"{l1:.12g}", f"{l2:.12g}"])
+        cols = ("lambda2",) if self.shares.ndim == 1 else ("lambda1", "lambda2")
+        rows = enumerate(self.shares.reshape(len(self.shares), -1))
+        _table.write_rows(path, ("t", *cols), ((t, *state) for t, state in rows))
 
 
 @dataclass(frozen=True)
@@ -354,9 +347,7 @@ def equilibrium_closed_form(
         raise ModelError("closed form requires uniform valuations")
     if not qos.is_affine():
         raise ModelError("closed form requires an affine quality curve on [0, 1]")
-    p = float(price)
-    if not math.isfinite(p) or p < 0.0:
-        raise ModelError(f"price must be >= 0, got {price}")
+    p = MonopolyMarket(dist, qos, price).price
     beta = dist.beta
     q_bar = qos.q_bar
     c = qos.c
@@ -410,9 +401,7 @@ def convergence_condition_partial(
     dist: ValuationDistribution, qos: QoSModel, epsilon: float
 ) -> ConditionReport:
     """Contraction condition for partial adjustment: ``max(-g'/g) < 1/(eps K)``."""
-    e = float(epsilon)
-    if not math.isfinite(e) or not 0.0 < e <= 1.0:
-        raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
+    e = Partial(epsilon).epsilon
     lhs = _decay_ratio_max(qos)
     rhs = 1.0 / (e * dist.k_constant())
     return ConditionReport(holds=lhs < rhs, lhs=lhs, rhs=rhs)
@@ -456,9 +445,7 @@ def switching_cost_equilibrium_band(
     zero cost the band collapses to the equilibrium threshold.  Raises
     ModelError unless the curve spans [0, 1].
     """
-    c_s = float(cost)
-    if not math.isfinite(c_s) or c_s < 0.0:
-        raise DomainError(f"switching cost must be >= 0, got {cost}")
+    c_s = SwitchingCost(cost).cost
     _check_full_span(market.qos, "quality")
     p = market.price
     lo = _threshold(market, p - c_s)

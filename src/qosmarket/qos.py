@@ -34,7 +34,7 @@ __all__ = [
     "save_qos_samples",
 ]
 
-_MONOTONE_SLACK = 1e-12
+_HEADER = ("lambda", "qos")
 
 
 class QoSModel:
@@ -85,21 +85,12 @@ class QoSModel:
         Share points must be strictly ascending within [0, 1]; qualities
         must be positive and non-increasing.
         """
-        x = np.asarray(lams, dtype=float)
-        q = np.asarray(qualities, dtype=float)
-        if x.ndim != 1 or q.ndim != 1 or x.size != q.size:
-            raise ModelError("lams and qualities must be 1-D arrays of equal length")
-        if x.size < 2:
-            raise ModelError("need at least two QoS samples")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
-            raise ModelError("QoS samples must be finite")
+        x, q = _table.samples(lams, qualities, ("lams", "qualities"))
         if x[0] < 0.0 or x[-1] > 1.0:
             raise ModelError("share samples must lie in [0, 1]")
-        if np.any(np.diff(x) <= 0.0):
-            raise ModelError("share samples must be strictly ascending")
         if np.any(q <= 0.0):
             raise ModelError("quality samples must be positive")
-        if np.any(np.diff(q) > _MONOTONE_SLACK):
+        if np.any(np.diff(q) > _table.MONOTONE_SLACK):
             raise ModelError("quality samples must be non-increasing")
         slope = np.diff(q) / np.diff(x)
         return cls._from_nodes(*(tuple(a.tolist()) for a in (x, q, slope)))
@@ -107,11 +98,7 @@ class QoSModel:
     @classmethod
     def from_csv(cls, path) -> "QoSModel":
         """Load a tabulated curve from a ``lambda,qos`` CSV file."""
-        lams, qualities = load_qos_samples(path)
-        try:
-            return cls.tabulated(lams, qualities)
-        except ModelError as exc:
-            raise ModelError(f"{path}: {exc}") from exc
+        return _table.read_columns(path, _HEADER, cls.tabulated)
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, ...]:
@@ -242,20 +229,8 @@ def fit_affine(lams, qualities) -> AffineFit:
     clamped to c = 0; a fit with ``c >= q_bar`` (nonpositive quality at
     full load) raises FitError.
     """
-    x = np.asarray(lams, dtype=float)
-    q = np.asarray(qualities, dtype=float)
-    if x.ndim != 1 or q.ndim != 1 or x.size != q.size:
-        raise FitError("lams and qualities must be 1-D arrays of equal length")
-    if x.size < 2:
-        raise FitError("need at least two samples to fit")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
-        raise FitError("samples must be finite")
-    order = np.argsort(x, kind="stable")
-    x = x[order]
-    q = q[order]
-    if np.any(np.diff(x) == 0.0):
-        raise FitError("share values must be distinct")
-    if np.any(np.diff(q) > _MONOTONE_SLACK):
+    x, q = _table.samples(lams, qualities, ("lams", "qualities"), FitError, sort=True)
+    if np.any(np.diff(q) > _table.MONOTONE_SLACK):
         raise FitError("quality samples must be non-increasing in share")
     slope, intercept = np.polyfit(x, q, 1)
     c = max(-float(slope), 0.0)
@@ -291,9 +266,9 @@ def load_qos_samples(path) -> tuple[np.ndarray, np.ndarray]:
 
     Structural problems raise ModelError naming the file and line.
     """
-    return _table.read_columns(path, ("lambda", "qos"))
+    return _table.read_columns(path, _HEADER)
 
 
 def save_qos_samples(path, lams, qualities) -> None:
     """Write ``lambda,qos`` rows; the exact inverse of :func:`load_qos_samples`."""
-    _table.write_columns(path, ("lambda", "qos"), lams, qualities)
+    _table.write_columns(path, _HEADER, lams, qualities)

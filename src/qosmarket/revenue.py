@@ -112,15 +112,9 @@ def optimum_closed_form(beta: float, q_bar: float, c: float) -> RevenueOptimum:
     and ``c = 0`` reduces to the textbook half-market split
     ``(beta/2, 1/2)``.
     """
-    beta = float(beta)
-    q_bar = float(q_bar)
-    c = float(c)
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise ModelError(f"beta must be positive, got {beta}")
-    if not math.isfinite(q_bar) or q_bar <= 0.0:
-        raise ModelError(f"q_bar must be positive, got {q_bar}")
-    if not math.isfinite(c) or c < 0.0 or c >= q_bar:
-        raise ModelError(f"need 0 <= c < q_bar, got c={c}, q_bar={q_bar}")
+    beta = ValuationDistribution.uniform(beta).beta
+    qos = QoSModel.linear(q_bar, c)
+    q_bar, c = qos.q_bar, qos.c
     if c == 0.0:
         alpha = beta / 2.0
         share = 0.5

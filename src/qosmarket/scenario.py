@@ -6,7 +6,8 @@ settings.  Relative file references (tabulated densities or QoS curves)
 resolve against the scenario file's directory.  Problems raise
 :class:`ScenarioError` naming the file and the offending key; a key the
 format does not know (a typo such as ``"incumbant"``) is one of them.
-Only ``metadata`` is free-form.
+Only ``metadata`` is free-form.  A section's ``kind`` names a row of its
+table in ``_KINDS``: the constructor and the keys it takes.
 
 Example::
 
@@ -104,69 +105,55 @@ def _number(value, where: str) -> float:
     return v
 
 
-def _parse_distribution(spec, base: Path, where: str) -> ValuationDistribution:
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+# each section's kinds: the constructor and the keys it takes in order; a
+# "file" is a CSV path relative to the scenario, every other key a number
+_KINDS = {
+    "distribution": {
+        "uniform": (ValuationDistribution.uniform, ("beta",)),
+        "custom": (ValuationDistribution.from_csv, ("file",)),
+    },
+    "QoS": {
+        "constant": (QoSModel.constant, ("q",)),
+        "linear": (QoSModel.linear, ("q_bar", "c")),
+        "tabulated": (QoSModel.from_csv, ("file",)),
+    },
+    "variant": {
+        "synchronous": (Synchronous, ()),
+        "partial": (Partial, ("epsilon",)),
+        "switching_cost": (SwitchingCost, ("cost",)),
+        "positive_externality": (PositiveExternality, ("q_bar", "delta", "phi", "gamma")),
+    },
+}
+
+
+def _parse_kind(spec, section: str, base: Path, where: str):
+    """Build the object that ``spec["kind"]`` names in ``section``'s table."""
     if not isinstance(spec, dict):
         raise ScenarioError(f"{where}: expected an object")
     kind = _need(spec, "kind", where)
-    if kind == "uniform":
-        _only(spec, where, "kind", "beta")
-        return ValuationDistribution.uniform(_number(_need(spec, "beta", where), f"{where}.beta"))
-    if kind == "custom":
-        _only(spec, where, "kind", "file")
-        rel = _need(spec, "file", where)
-        return ValuationDistribution.from_csv(base / rel)
-    raise ScenarioError(f"{where}.kind: unknown distribution kind {kind!r}")
+    kinds = _KINDS[section]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ScenarioError(f"{where}.kind: unknown {section} kind {kind!r}")
+    make, keys = kinds[kind]
+    _only(spec, where, "kind", *keys)
+    return make(*(
+        base / _text(_need(spec, key, where), f"{where}.{key}") if key == "file"
+        else _number(_need(spec, key, where), f"{where}.{key}")
+        for key in keys
+    ))
 
 
-def _parse_qos(spec, base: Path, where: str) -> QoSModel:
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"{where}: expected an object")
-    kind = _need(spec, "kind", where)
-    if kind == "constant":
-        _only(spec, where, "kind", "q")
-        return QoSModel.constant(_number(_need(spec, "q", where), f"{where}.q"))
-    if kind == "linear":
-        _only(spec, where, "kind", "q_bar", "c")
-        return QoSModel.linear(
-            _number(_need(spec, "q_bar", where), f"{where}.q_bar"),
-            _number(_need(spec, "c", where), f"{where}.c"),
-        )
-    if kind == "tabulated":
-        _only(spec, where, "kind", "file")
-        rel = _need(spec, "file", where)
-        return QoSModel.from_csv(base / rel)
-    raise ScenarioError(f"{where}.kind: unknown QoS kind {kind!r}")
-
-
-def _parse_variant(spec, where: str) -> MonopolyVariant:
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"{where}: expected an object")
-    kind = _need(spec, "kind", where)
-    if kind == "synchronous":
-        _only(spec, where, "kind")
-        return Synchronous()
-    if kind == "partial":
-        _only(spec, where, "kind", "epsilon")
-        return Partial(epsilon=_number(_need(spec, "epsilon", where), f"{where}.epsilon"))
-    if kind == "switching_cost":
-        _only(spec, where, "kind", "cost")
-        return SwitchingCost(cost=_number(_need(spec, "cost", where), f"{where}.cost"))
-    if kind == "positive_externality":
-        _only(spec, where, "kind", "q_bar", "delta", "phi", "gamma")
-        return PositiveExternality(
-            q_bar=_number(_need(spec, "q_bar", where), f"{where}.q_bar"),
-            delta=_number(_need(spec, "delta", where), f"{where}.delta"),
-            phi=_number(_need(spec, "phi", where), f"{where}.phi"),
-            gamma=_number(_need(spec, "gamma", where), f"{where}.gamma"),
-        )
-    raise ScenarioError(f"{where}.kind: unknown variant kind {kind!r}")
-
-
-def _parse_dynamics(spec, where: str) -> DynamicsSpec:
+def _parse_dynamics(spec, base: Path, where: str) -> DynamicsSpec:
     if not isinstance(spec, dict):
         raise ScenarioError(f"{where}: expected an object")
     _only(spec, where, "variant", "lambda0", "max_iter", "tol")
-    variant = _parse_variant(_need(spec, "variant", where), f"{where}.variant")
+    variant = _parse_kind(_need(spec, "variant", where), "variant", base, f"{where}.variant")
     raw0 = _need(spec, "lambda0", where)
     lambda0: float | tuple[float, float]
     if isinstance(raw0, list):
@@ -201,7 +188,7 @@ def load_scenario(path) -> Scenario:
     base = path.parent
     try:
         _only(raw, "scenario", "name", "distribution", "technologies", "incumbent", "prices", "dynamics", "metadata")
-        dist = _parse_distribution(_need(raw, "distribution", "scenario"), base, "distribution")
+        dist = _parse_kind(_need(raw, "distribution", "scenario"), "distribution", base, "distribution")
         raw_techs = _need(raw, "technologies", "scenario")
         if not isinstance(raw_techs, list) or not raw_techs:
             raise ScenarioError("technologies: expected a nonempty list")
@@ -213,8 +200,8 @@ def load_scenario(path) -> Scenario:
             _only(t, where, "name", "qos", "cost")
             techs.append(
                 Technology(
-                    name=str(_need(t, "name", where)),
-                    qos=_parse_qos(_need(t, "qos", where), base, f"{where}.qos"),
+                    name=_text(_need(t, "name", where), f"{where}.name"),
+                    qos=_parse_kind(_need(t, "qos", where), "QoS", base, f"{where}.qos"),
                     cost_per_period=_number(t.get("cost", 0.0), f"{where}.cost"),
                 )
             )
@@ -235,11 +222,11 @@ def load_scenario(path) -> Scenario:
                 p1 = _number(prices["p1"], "prices.p1")
             if "p2" in prices:
                 p2 = _number(prices["p2"], "prices.p2")
-        dynamics = _parse_dynamics(raw["dynamics"], "dynamics") if "dynamics" in raw else None
+        dynamics = _parse_dynamics(raw["dynamics"], base, "dynamics") if "dynamics" in raw else None
         metadata = raw.get("metadata", {})
         if not isinstance(metadata, dict):
             raise ScenarioError("metadata: expected an object")
-        name = str(raw.get("name", path.stem))
+        name = _text(raw.get("name", path.stem), "name")
         return Scenario(
             name=name,
             dist=dist,

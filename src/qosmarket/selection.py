@@ -9,11 +9,11 @@ share-competition equilibrium against an incumbent of quality ``q1``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _table
 from .competition import CournotGame, _check_entrant_span, nash_solve
 from .duopoly import _check_incumbent
 from .errors import ModelError
@@ -92,12 +92,11 @@ class DecisionMap:
 
     def to_csv(self, path) -> None:
         """Write ``k_split,k_common,choice`` rows, first axis major."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k_split", "k_common", "choice"])
-            for k1, row in zip(self.k_grid_1, self.cells):
-                for k2, choice in zip(self.k_grid_2, row):
-                    writer.writerow([f"{k1:.12g}", f"{k2:.12g}", choice])
+        _table.write_rows(path, ("k_split", "k_common", "choice"), (
+            (k1, k2, choice)
+            for k1, row in zip(self.k_grid_1, self.cells)
+            for k2, choice in zip(self.k_grid_2, row)
+        ))
 
 
 def _gross_revenue(problem: SelectionProblem, tech: Technology) -> float:

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 _INTEGRAL_TOL = 1e-9
-_MONOTONE_SLACK = 1e-12
+_HEADER = ("alpha", "pdf")
 
 
 class ValuationDistribution:
@@ -78,18 +78,9 @@ class ValuationDistribution:
         ``alphas`` must be strictly ascending, start at 0, and end at the
         support bound ``beta`` (taken from the last sample).
         """
-        x = np.asarray(alphas, dtype=float)
-        f = np.asarray(densities, dtype=float)
-        if x.ndim != 1 or f.ndim != 1 or x.size != f.size:
-            raise ModelError("alphas and densities must be 1-D arrays of equal length")
-        if x.size < 2:
-            raise ModelError("need at least two density samples")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
-            raise ModelError("density samples must be finite")
+        x, f = _table.samples(alphas, densities, ("alphas", "densities"))
         if x[0] != 0.0:
             raise ModelError(f"first sample point must be alpha=0, got {x[0]}")
-        if np.any(np.diff(x) <= 0.0):
-            raise ModelError("sample points must be strictly ascending")
         if x[-1] <= 0.0:
             raise ModelError("support bound must be positive")
         if np.any(f < 0.0):
@@ -110,11 +101,7 @@ class ValuationDistribution:
     @classmethod
     def from_csv(cls, path) -> "ValuationDistribution":
         """Load density samples from a ``alpha,pdf`` CSV file."""
-        alphas, densities = load_pdf_samples(path)
-        try:
-            return cls.from_samples(alphas, densities)
-        except ModelError as exc:
-            raise ModelError(f"{path}: {exc}") from exc
+        return _table.read_columns(path, _HEADER, cls.from_samples)
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, ...]:
@@ -246,7 +233,7 @@ class ValuationDistribution:
     @cached_property
     def _nonincreasing(self) -> bool:
         # the density is immutable: walk the node pairs once per instance
-        return all(f1 - f0 <= _MONOTONE_SLACK for f0, f1 in zip(self._f, self._f[1:]))
+        return all(f1 - f0 <= _table.MONOTONE_SLACK for f0, f1 in zip(self._f, self._f[1:]))
 
     def __repr__(self) -> str:
         if self.is_uniform():
@@ -263,9 +250,9 @@ def load_pdf_samples(path) -> tuple[np.ndarray, np.ndarray]:
     Structural problems (bad header, non-numeric cells, short rows) raise
     ModelError naming the file and 1-based line number.
     """
-    return _table.read_columns(path, ("alpha", "pdf"))
+    return _table.read_columns(path, _HEADER)
 
 
 def save_pdf_samples(path, alphas, densities) -> None:
     """Write ``alpha,pdf`` rows; the exact inverse of :func:`load_pdf_samples`."""
-    _table.write_columns(path, ("alpha", "pdf"), alphas, densities)
+    _table.write_columns(path, _HEADER, alphas, densities)

@@ -283,6 +283,23 @@ class TestErrorPaths:
                          "--out", str(tmp_path)]) == 2
         assert "fiber" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, key", [
+        ({"distribution": {"kind": "custom", "file": 3}}, "distribution.file"),
+        ({"name": ["x"]}, "name"),
+    ])
+    def test_wrongly_typed_text_is_a_configuration_error(self, change, key, tmp_path, capsys):
+        payload = {
+            "distribution": {"kind": "uniform", "beta": 1.0},
+            "technologies": [{"name": "t", "qos": {"kind": "constant", "q": 1.0}}],
+            **change,
+        }
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(path), "--out", str(out)]) == 2
+        assert f"{key}: expected a string" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_scenario_without_dynamics(self, tmp_path, capsys):
         payload = {
             "distribution": {"kind": "uniform", "beta": 1.0},

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qosmarket as qm
+from qosmarket import competition
 from qosmarket._optim import scan_then_bisect
 from qosmarket.competition import (
     DEFAULT_STARTS,
@@ -316,6 +317,23 @@ class TestNash:
             for b in outs:
                 assert abs(a.lam1 - b.lam1) < 1e-7
                 assert abs(a.lam2 - b.lam2) < 1e-7
+
+    @pytest.mark.parametrize("density", ["uniform", "triangle"])
+    def test_default_starts_solve_each_distinct_start_once(self, density, triangle, monkeypatch):
+        dist = qm.ValuationDistribution.uniform(1.0) if density == "uniform" else triangle
+        game = qm.CournotGame(dist, 2.0, qm.QoSModel.linear(1.0, 0.5))
+        five = ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5), (0.25, 0.25))
+
+        def outcomes(starts):
+            return {(o.lam1, o.lam2, o.r1, o.r2, o.iterations, o.path[1:])
+                    for o in qm.nash_solve_multi(game, starts)}
+
+        before = outcomes(five)
+        solve, starts = competition.nash_solve, []
+        monkeypatch.setattr(competition, "nash_solve",
+                            lambda g, start, *rest: starts.append(start) or solve(g, start, *rest))
+        assert outcomes(DEFAULT_STARTS) == before
+        assert len(starts) == 3
 
     def test_reference_technology_solutions(self, uniform1, split_qos, common_qos):
         out_s = qm.nash_solve(qm.CournotGame(uniform1, 1.687, split_qos),

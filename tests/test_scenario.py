@@ -127,6 +127,26 @@ class TestDiagnostics:
         with pytest.raises(qm.ScenarioError, match="unknown variant kind"):
             load_scenario(p2)
 
+    def test_unknown_qos_kind(self, tmp_path):
+        p = write(tmp_path, {**BASE, "technologies": [{"name": "t", "qos": {"kind": "cubic"}}]})
+        with pytest.raises(qm.ScenarioError,
+                           match=re.escape("technologies[0].qos.kind: unknown QoS kind 'cubic'")):
+            load_scenario(p)
+
+    @pytest.mark.parametrize("change, key", [
+        ({"distribution": {"kind": "custom", "file": 3}}, "distribution.file"),
+        ({"distribution": {"kind": "custom", "file": ["a.csv"]}}, "distribution.file"),
+        ({"technologies": [{"name": "t", "qos": {"kind": "tabulated", "file": 3}}]},
+         "technologies[0].qos.file"),
+        ({"technologies": [{"name": 3, "qos": {"kind": "constant", "q": 1.0}}]},
+         "technologies[0].name"),
+        ({"name": ["x"]}, "name"),
+    ])
+    def test_text_values_are_type_checked(self, tmp_path, change, key):
+        p = write(tmp_path, {**BASE, **change})
+        with pytest.raises(qm.ScenarioError, match=re.escape(f"{p}: {key}: expected a string")):
+            load_scenario(p)
+
     def test_numbers_are_type_checked(self, tmp_path):
         p = write(tmp_path, {**BASE, "distribution": {"kind": "uniform", "beta": True}})
         with pytest.raises(qm.ScenarioError, match="expected a number"):
