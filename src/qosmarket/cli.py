@@ -26,7 +26,7 @@ import numpy as np
 
 from . import competition, duopoly, monopoly, revenue, selection
 from ._table import fmt, write_rows
-from .errors import MarketError, NonConvergenceError, ScenarioError
+from .errors import FitError, MarketError, NonConvergenceError, ScenarioError
 from .monopoly import Synchronous
 from .qos import Technology, fit_affine, load_qos_samples
 from .scenario import Scenario, load_scenario
@@ -249,7 +249,10 @@ def cmd_select(scenario: Scenario, args, out_dir: Path) -> int:
 
 def cmd_fit_qos(args, out_dir: Path) -> int:
     lams, qualities = load_qos_samples(args.csvfile)
-    fit = fit_affine(lams, qualities)
+    try:
+        fit = fit_affine(lams, qualities)
+    except FitError as exc:
+        raise FitError(f"{args.csvfile}: {exc}") from exc
     out_path = out_dir / f"{Path(args.csvfile).stem}_fit-qos.csv"
     write_rows(out_path, ("q_bar", "c", "rms_residual"),
                [(fit.model.q_bar, fit.model.c, fit.rms_residual)])

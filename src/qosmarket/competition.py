@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import scan_then_bisect
+from ._optim import _XTOL, climb, scan_then_bisect
 from .duopoly import _check_incumbent, _check_pair
 from .errors import DomainError, ModelError, NonConvergenceError
 from .qos import QoSModel
@@ -222,46 +222,59 @@ def best_response(game: CournotGame, player: int, lam_other: float) -> float:
 
 def _maximizer(
     dist: ValuationDistribution, qos2: QoSModel, q1: float | None, lo: float, hi: float
-) -> Callable[[float], float]:
+) -> Callable[..., float]:
     """The share in [lo, hi] maximizing :func:`_revenue_surface` (the
     incumbent's when ``q1`` is given, else the entrant's), as a function of
     the rival share.  The grid and the own-share column are built once, so
     each call computes only the rival-dependent column and the refinement.
     The entrant's slope jumps at its curve's nodes, so its grid holds the
-    nodes inside (lo, hi) too; the incumbent's slope has no jumps."""
+    nodes inside (lo, hi) too; the incumbent's slope has no jumps.  Given
+    a ``start`` share, a call skips the scan and climbs from it (:func:`climb`),
+    first by a step of ``width``, to the local maximum there."""
     xs = np.linspace(lo, hi, _SCAN)
     kinks = () if q1 is not None else tuple(x for x in qos2.nodes if lo < x < hi)
     if kinks:
         xs = np.union1d(xs, kinks)
     column = _own_column(dist, qos2, xs, q1)
 
-    def maximize(other: float) -> float:
-        return scan_then_bisect(lambda lam: _revenue_surface(dist, qos2, lam, other, q1),
-                                lambda lam: _revenue_slope(dist, qos2, lam, other, q1),
+    def maximize(other: float, start: float | None = None, width: float = 0.0) -> float:
+        def slope(lam: float) -> float:
+            return _revenue_slope(dist, qos2, lam, other, q1)
+
+        if start is not None:
+            return climb(slope, start, width, lo, hi, kinks)
+        return scan_then_bisect(lambda lam: _revenue_surface(dist, qos2, lam, other, q1), slope,
                                 xs, _surface_from_column(dist, qos2, xs, column, other, q1), kinks)
 
     return maximize
 
 
-def _responder(game: CournotGame, player: int) -> Callable[[float], float]:
+def _span(game: CournotGame, player: int) -> float:
+    """The upper end of ``player``'s best-response scan: 1/2, or the end of
+    the entrant's curve if that comes first."""
+    return 0.5 if player == 1 else min(0.5, game.qos2.domain[1])
+
+
+def _responder(game: CournotGame, player: int) -> Callable[..., float]:
     """``player``'s :func:`best_response` as a function of the rival share,
-    with its :func:`_maximizer` built once."""
+    with its :func:`_maximizer` built once; ``start`` and ``width`` pass
+    through to it."""
     if player not in (1, 2):
         raise DomainError(f"player must be 1 or 2, got {player!r}")
     if not game.dist.is_nonincreasing_pdf():
         raise ModelError("best response guarantees need a non-increasing density")
     qos2 = game.qos2
-    q1, hi = (game.q1, 0.5) if player == 1 else (None, min(0.5, qos2.domain[1]))
-    maximize = _maximizer(game.dist, qos2, q1, 0.0, hi)
+    maximize = _maximizer(game.dist, qos2, game.q1 if player == 1 else None, 0.0,
+                          _span(game, player))
 
-    def respond(lam_other: float) -> float:
+    def respond(lam_other: float, start: float | None = None, width: float = 0.0) -> float:
         other = float(lam_other)
         if not math.isfinite(other) or not 0.0 <= other < 1.0:
             raise DomainError(f"rival share outside [0, 1): {lam_other!r}")
         if player == 1 and other > qos2.domain[1]:
             raise DomainError(f"rival share {lam_other!r} beyond the entrant curve's span "
                               f"{list(qos2.domain)}")
-        best = maximize(other)
+        best = maximize(other, start, width)
         assert 0.0 < best <= 0.5, f"best response {best} escaped (0, 1/2]"
         return best
 
@@ -379,6 +392,19 @@ def _closed_pair(game: CournotGame):
     return None
 
 
+def _lead(own: float, own_prev: float, rival: float, rival_prev: float, rival_prev2: float,
+          cell: float) -> tuple[float, float]:
+    """Start and first step of a climbed best response to the share
+    ``rival``, given the player's last two responses, ``own`` to
+    ``rival_prev`` and ``own_prev`` to ``rival_prev2``.  The start extends
+    the secant through those responses to ``rival``; its error scales with
+    the product of the rival's last two moves, so that product, kept within
+    [4 _XTOL, one cell], is the first step."""
+    move, move_prev = rival - rival_prev, rival_prev - rival_prev2
+    start = own + (own - own_prev) / move_prev * move if move_prev else own
+    return start, min(max(abs(move * move_prev), 4 * _XTOL), cell)
+
+
 def nash_solve(
     game: CournotGame,
     start: tuple[float, float] = (0.25, 0.25),
@@ -389,14 +415,22 @@ def nash_solve(
 
     One round updates the incumbent and then the entrant.  On
     convergence the point is verified as an equilibrium by re-optimizing
-    each player numerically (improvements below 1e-8 required).  Each
-    player's numerical best response is built once per solve: the share
-    grid and the own-share column of its revenue scan serve every round
-    and the verification, and each round computes only the column that
-    moves with the rival.  Rounds use the closed forms instead where they
-    exist (uniform valuations, a congested affine entrant curve).  Raises
-    NonConvergenceError (carrying the visited path) if the round budget
-    runs out, and DomainError unless ``max_rounds >= 1`` and ``tol > 0``.
+    each player numerically, with full scans (improvements below 1e-8
+    required).  Each player's numerical best response is built once per
+    solve: the share grid and the own-share column of its revenue scan
+    serve every round and the verification, and a scanned round computes
+    only the column that moves with the rival.  The first two rounds scan,
+    and so does every round after one that moved a share by more than one
+    cell of its player's scan.  The other rounds climb each player's
+    revenue slope (:func:`climb`) from the secant through that player's
+    last two responses, extended to the rival's new share.  If a climbed
+    round converges to a point that fails verification, the solve goes
+    on with scanned rounds for the rest of its budget; a scanned round's
+    failure raises.  Rounds use the closed forms instead where they exist
+    (uniform valuations, a congested affine entrant curve).  Raises
+    NonConvergenceError (carrying the visited path, and naming the last
+    round's largest move) if the round budget runs out, and DomainError
+    unless ``max_rounds >= 1`` and ``tol > 0``.
     The supermodularity certificate that makes the iteration reliable
     belongs to the game: ``supermodularity_check(game)``.
     """
@@ -413,32 +447,42 @@ def nash_solve(
     if not game.dist.is_nonincreasing_pdf():
         raise ModelError("equilibrium guarantees need a non-increasing density")
     resp1, resp2 = _responder(game, 1), _responder(game, 2)
-    br1, br2 = _closed_pair(game) or (resp1, resp2)
+    closed = _closed_pair(game)
+    br1, br2 = closed or (resp1, resp2)
+    cell1, cell2 = (_span(game, player) / (_SCAN - 1) for player in (1, 2))
+    may_climb, climbing = closed is None, False
     path = [(l1, l2)]
-    rounds = 0
-    converged = False
     for rounds in range(1, max_rounds + 1):
-        n1 = br1(l2)
-        n2 = br2(n1)
-        delta = max(abs(n1 - l1), abs(n2 - l2))
+        climbed = climbing
+        if climbing:
+            (l1_prev, l2_prev), l2_prev2 = path[-2], path[-3][1]
+            n1 = resp1(l2, *_lead(l1, l1_prev, l2, l2_prev, l2_prev2, cell1))
+            n2 = resp2(n1, *_lead(l2, l2_prev, n1, l1, l1_prev, cell2))
+        else:
+            n1 = br1(l2)
+            n2 = br2(n1)
+        d1, d2 = abs(n1 - l1), abs(n2 - l2)
+        delta = max(d1, d2)
+        climbing = may_climb and rounds >= 2 and d1 <= cell1 and d2 <= cell2
         l1, l2 = n1, n2
         path.append((l1, l2))
         if delta < tol:
-            converged = True
-            break
-    if not converged:
+            r1, r2 = revenues(game, l1, l2)
+            gain1 = revenues(game, resp1(l2), l2)[0] - r1
+            gain2 = revenues(game, l1, resp2(l1))[1] - r2
+            if gain1 < _VERIFY_TOL and gain2 < _VERIFY_TOL:
+                break
+            if not climbed or rounds == max_rounds:
+                raise NonConvergenceError(
+                    "converged point failed equilibrium verification "
+                    f"(improvements {gain1:.3g}, {gain2:.3g})",
+                    path,
+                )
+            may_climb = climbing = False  # a climb missed a global maximum
+    else:
         raise NonConvergenceError(
-            f"best-response iteration did not converge in {max_rounds} rounds", path
-        )
-    r1, r2 = revenues(game, l1, l2)
-    alt1 = resp1(l2)
-    alt2 = resp2(l1)
-    best_r1 = revenues(game, alt1, l2)[0]
-    best_r2 = revenues(game, l1, alt2)[1]
-    if best_r1 - r1 >= _VERIFY_TOL or best_r2 - r2 >= _VERIFY_TOL:
-        raise NonConvergenceError(
-            "converged point failed equilibrium verification "
-            f"(improvements {best_r1 - r1:.3g}, {best_r2 - r2:.3g})",
+            f"best-response iteration did not converge in {max_rounds} rounds "
+            f"(last move {delta:.2g})",
             path,
         )
     p1, p2 = inverse_demand(game, l1, l2)

@@ -1,5 +1,6 @@
 """Command line interface: outputs, exit codes, determinism."""
 
+import argparse
 import csv
 import json
 import os
@@ -252,6 +253,15 @@ class TestFitQos:
         assert cli.main(["fit-qos", str(tmp_path / "nope.csv"),
                          "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unfittable_samples_name_the_file(self, tmp_path, capsys):
+        samples = tmp_path / "twice.csv"
+        samples.write_text("lambda,qos\n0.5,1.0\n0.5,0.9\n")
+        assert cli.main(["fit-qos", str(samples), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {samples}: lams must be distinct\n"
+        assert not (tmp_path / "twice_fit-qos.csv").exists()
+        with pytest.raises(qosmarket.FitError, match="twice.csv: lams must be distinct"):
+            cli.cmd_fit_qos(argparse.Namespace(csvfile=samples), tmp_path)
 
 
 class TestErrorPaths:

@@ -495,8 +495,10 @@ class TestOncePerSolveScan:
                     assert np.array(probes).tobytes() == surface.tobytes()
 
     def test_custom_solve_makes_two_array_quantiles_per_round(self, monkeypatch, triangle, split_qos):
-        # one rival-dependent column per best response, plus the incumbent's
-        # own-share column once and the two verification responses
+        # one rival-dependent column per scanned best response, plus the
+        # incumbent's own-share column once and the two verification
+        # responses; rounds after the second that follow one that moved no
+        # share by more than a scan cell climb and scan nothing
         quantile = qm.ValuationDistribution.quantile
         sizes = []
 
@@ -507,6 +509,101 @@ class TestOncePerSolveScan:
 
         monkeypatch.setattr(qm.ValuationDistribution, "quantile", counting)
         out = qm.nash_solve(qm.CournotGame(triangle, 1.687, split_qos))
-        assert out.iterations > 5
-        assert len(sizes) == 2 * out.iterations + 3
+        cell = 0.5 / 2_000
+        moves = [max(abs(b1 - a1), abs(b2 - a2)) for (a1, a2), (b1, b2) in zip(out.path, out.path[1:])]
+        scanned = sum(r < 2 or moves[r - 1] > cell for r in range(out.iterations))
+        assert (out.iterations, scanned) == (13, 5)
+        assert len(sizes) == 2 * scanned + 3 == 13
         assert set(sizes) == {2_001}
+
+
+def global_rounds(game: qm.CournotGame, start=(0.25, 0.25), tol=1e-10):
+    """Alternating public best responses, each a fresh global scan, until no
+    share moves by ``tol``: ``(lam1, lam2, rounds)``."""
+    l1, l2 = start
+    for rounds in range(1, 1_001):
+        n1 = qm.best_response(game, 1, l2)
+        n2 = qm.best_response(game, 2, n1)
+        delta = max(abs(n1 - l1), abs(n2 - l2))
+        l1, l2 = n1, n2
+        if delta < tol:
+            return l1, l2, rounds
+    raise AssertionError("reference iteration did not converge")
+
+
+class TestClimbingRounds:
+    """Rounds after the second that follow one that moved each share by at
+    most a scan cell climb from a secant prediction instead of scanning."""
+
+    @pytest.mark.parametrize("seed", range(20))  # odd seeds have tabulated curves
+    def test_solve_agrees_with_global_rounds(self, seed):
+        game = seeded_custom_game(seed)
+        out = qm.nash_solve(game)
+        l1, l2, rounds = global_rounds(game)
+        assert out.iterations == rounds
+        assert out.lam1 == pytest.approx(l1, abs=1e-14)
+        assert out.lam2 == pytest.approx(l2, abs=1e-14)
+        r1, r2 = revenues(game, l1, l2)
+        assert out.r1 == pytest.approx(r1, abs=1e-14)
+        assert out.r2 == pytest.approx(r2, abs=1e-14)
+
+    def test_a_wrong_climb_is_undone_by_the_next_scan(self, monkeypatch, triangle, split_qos):
+        game = qm.CournotGame(triangle, 1.687, split_qos)
+        climb, calls = competition.climb, []
+
+        def once_wrong(*args):
+            calls.append(args)
+            return 0.05 if len(calls) == 1 else climb(*args)
+
+        monkeypatch.setattr(competition, "climb", once_wrong)
+        out = qm.nash_solve(game)
+        l1, l2, _ = global_rounds(game)
+        assert len(calls) > 2
+        assert out.lam1 == pytest.approx(l1, abs=1e-9)
+        assert out.lam2 == pytest.approx(l2, abs=1e-9)
+
+    def test_a_stalled_climb_falls_back_to_global_rounds(self, monkeypatch, triangle, split_qos):
+        # valuations scaled by 1,000 scale revenues too, so a point 1e-4 off
+        # the equilibrium fails verification
+        a = np.linspace(0.0, 1_000.0, 101)
+        game = qm.CournotGame(qm.ValuationDistribution.from_samples(a, triangle.pdf(a / 1_000.0) / 1_000.0),
+                              1.687, split_qos)
+        l1, l2, _ = global_rounds(game)
+        climb, landed = competition.climb, []
+
+        def stalled(*args):  # each player's first climb lands 1e-4 off its peak, and stays there
+            landed.append(climb(*args) + 1e-4 if len(landed) < 2 else landed[len(landed) % 2])
+            return landed[-1]
+
+        monkeypatch.setattr(competition, "climb", stalled)
+        quantile, scans = qm.ValuationDistribution.quantile, []
+
+        def counting(self, u):
+            scans.append(np.ndim(u))
+            return quantile(self, u)
+
+        monkeypatch.setattr(qm.ValuationDistribution, "quantile", counting)
+        out = qm.nash_solve(game)
+        assert len(landed) == 4  # two climbed rounds, the second one stalled
+        assert out.lam1 == pytest.approx(l1, abs=1e-9)
+        assert out.lam2 == pytest.approx(l2, abs=1e-9)
+        # every round but the climbed ones scans, plus the own-share column
+        # and two verifications after each of the two converged rounds
+        assert sum(scans) == 2 * (out.iterations - 2) + 5
+
+    @pytest.mark.parametrize("density", ["uniform", "triangle"])
+    def test_failed_verification_after_a_global_round_raises(self, density, monkeypatch, triangle,
+                                                             split_qos):
+        dist = qm.ValuationDistribution.uniform(1.0) if density == "uniform" else triangle
+        monkeypatch.setattr(competition, "_VERIFY_TOL", -1.0)
+        with pytest.raises(qm.NonConvergenceError, match="failed equilibrium verification"):
+            qm.nash_solve(qm.CournotGame(dist, 1.687, split_qos))
+
+    def test_round_limit_names_the_last_move(self):
+        with pytest.raises(qm.NonConvergenceError) as exc:
+            qm.nash_solve(linear_game(), (0.0, 0.5), 3, 1e-14)
+        (a1, a2), (b1, b2) = exc.value.path[-2:]
+        move = max(abs(b1 - a1), abs(b2 - a2))
+        assert str(exc.value) == (f"best-response iteration did not converge in 3 rounds "
+                                  f"(last move {move:.2g})")
+        assert 1e-14 <= move < 1e-2

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 import qosmarket as qm
 from qosmarket import _optim
-from qosmarket._optim import itp_root, scan_then_bisect
+from qosmarket._optim import climb, itp_root, scan_then_bisect
 from qosmarket.competition import _own_column, _revenue_slope, _revenue_surface, _surface_from_column
 from qosmarket.revenue import revenue_at_price
 from test_acceptance import random_nonincreasing_density
-from test_monopoly import nonincreasing_densities
+from test_monopoly import full_span_curves, nonincreasing_densities
 
 TOL = 1e-9
 GOLDEN_SHARE = 0.42264973081037427
@@ -279,6 +279,29 @@ class TestBounds:
         with pytest.raises(qm.ModelError):
             qm.optimum_bounds(rising, qm.QoSModel.constant(1.0))
 
+    @settings(max_examples=60)
+    @given(st.one_of(nonincreasing_densities(), st.floats(0.5, 2.0).map(qm.ValuationDistribution.uniform)),
+           full_span_curves())
+    def test_optimum_lies_inside_the_bounds(self, dist, qos):
+        assert_inside_bounds(dist, qos)
+
+    @settings(max_examples=30)
+    @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.0, 0.49))
+    def test_optimum_lies_inside_the_tightened_uniform_bounds(self, beta, q_bar, ratio):
+        # max(-g'/g) = c / (q_bar - c) < 1 for c < q_bar / 2
+        dist, qos = qm.ValuationDistribution.uniform(beta), qm.QoSModel.linear(q_bar, ratio * q_bar)
+        assert assert_inside_bounds(dist, qos).tightened
+
+
+def assert_inside_bounds(dist, qos):
+    """``optimize``'s answer against ``optimum_bounds``, as the CLI's
+    ``*_within`` rows compare them; returns the bounds."""
+    b, opt = qm.optimum_bounds(dist, qos), qm.optimize(dist, qos)
+    assert b.share_low < opt.share <= b.share_high
+    assert b.alpha_low <= opt.marginal_valuation < b.alpha_high
+    assert b.price_low <= opt.price < b.price_high
+    return b
+
 
 def revenue_curve(dist, qos, shares):
     """Rows of ``(share, price, revenue)`` along the marginal-user curve; the
@@ -366,6 +389,29 @@ class TestScanThenBisect:
         # a slope whose root (0.45) is not the maximum cannot lower the grid value
         x = scanned(lambda t: -(t - 0.5) ** 2, lambda t: 0.45 - t, 0.0, 1.0, 11)
         assert x == 0.5
+
+
+class TestClimb:
+    @pytest.mark.parametrize("x0", [0.0, 0.1, 0.3, 0.45, 1.0])
+    def test_smooth_maximum_from_either_side(self, x0):
+        assert abs(climb(lambda t: 0.3 - t, x0, 1e-3, 0.0, 1.0) - 0.3) <= 1e-15
+
+    def test_end_where_the_slope_points_out(self):
+        assert climb(lambda t: 1.0, 0.4, 1e-3, 0.0, 0.5) == 0.5
+        assert climb(lambda t: -1.0, 0.4, 1e-3, 0.0, 0.5) == 0.0
+
+    @pytest.mark.parametrize("x0", [0.0, 0.25, 0.3, 0.6])
+    def test_kink_where_the_slope_jumps_through_zero(self, x0):
+        assert climb(lambda t: 1.0 if t < 0.3 else -2.0, x0, 1e-2, 0.0, 1.0, (0.3,)) == 0.3
+
+    def test_stops_below_a_kink_where_the_slope_jumps_back_up(self):
+        # the slope falls through zero at 0.25 and jumps from -0.05 to +0.15
+        # at the kink 0.3: the step that lands on the kink brackets 0.25
+        def slope(t):
+            return 0.25 - t if t < 0.3 else 0.45 - t
+
+        assert abs(climb(slope, 0.1, 0.5, 0.0, 1.0, (0.3,)) - 0.25) <= 1e-15
+        assert abs(climb(slope, 0.6, 1e-3, 0.0, 1.0, (0.3,)) - 0.45) <= 1e-15
 
 
 @pytest.fixture
