@@ -2,13 +2,15 @@
 
 The package has one root finder, :func:`itp_root`, and two maximizers:
 :func:`scan_then_bisect` finds the global maximum around the best point
-of a scan its caller has made, and :func:`climb` the local maximum that
-the slope leads to from a given point.  All resolve to one fixed
-tolerance and use no randomness; the scan resolves ties toward the
-smaller argument.  Both maximizers end alike: at a kink where the slope
-jumps through zero, or at the root of the slope placed by
-:func:`itp_root`, which never takes more than one evaluation beyond
-bisection and converges superlinearly on smooth slopes.
+of a scan its caller has made, and :func:`step_peak` tries one step
+from a given point toward the local maximum the slope leads to, and
+answers None, for its caller to scan, when that step does not bracket
+it.  All resolve to one fixed tolerance and use no randomness; the scan
+resolves ties toward the smaller argument.  Both maximizers end alike:
+at a kink where the slope jumps through zero, or at the root of the
+slope placed by :func:`itp_root`, which never takes more than one
+evaluation beyond bisection and converges superlinearly on smooth
+slopes.
 """
 
 from __future__ import annotations
@@ -87,74 +89,52 @@ def scan_then_bisect(
     ``slope`` is its derivative at a scalar.  ``kinks`` are the points
     where the slope may jump, and the grid must hold each of them.  Where
     the slope falls through zero across the two cells around the first
-    grid maximum, the maximum is :func:`_peak` of that bracket; a root
-    is returned if its value is at least the grid maximum, otherwise the
-    grid point is.
+    grid maximum, the maximum is that grid point if it is a kink where the
+    slope jumps through zero (:func:`_jumps_through_zero`), else the
+    :func:`itp_root` of the slope in the two cells, if its value is at
+    least the grid maximum; otherwise it is the grid point.
     """
     i = int(np.argmax(vals))
+    k = float(xs[i])
     a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
     sa = slope(a)
     if sa >= 0.0:
         sb = slope(b)
         if 0.0 >= sb:
-            k = float(xs[i])
-            x = _peak(slope, a, b, sa, sb, k, kinks)
-            if x == k or float(fn(x)) >= vals[i]:
+            if k in kinks and _jumps_through_zero(slope, k):
+                return k
+            x = itp_root(slope, a, b, flo=sa, fhi=sb)
+            if float(fn(x)) >= vals[i]:
                 return x
-    return float(xs[i])
+    return k
 
 
-def climb(
+def step_peak(
     slope: Callable[[float], float], x0: float, width: float, lo: float, hi: float, kinks=()
-) -> float:
-    """The local maximum on [lo, hi] that the slope leads to from ``x0``.
+) -> float | None:
+    """The local maximum on [lo, hi] within one step of ``x0``, or None.
 
-    Steps from ``x0`` in the slope's direction, first by ``width > 0`` and
-    then by twice the previous step, landing on every kink (an ascending
-    sequence, as in :func:`scan_then_bisect`) on the way, until the slope
-    turns; the bracket of the last step then holds no kink inside, and
-    :func:`_peak` places the maximum in it, from the slopes that face
-    into it (just below a kink at its upper end).  Returns ``lo`` or
-    ``hi`` if the slope still points out of the interval there, and
-    ``x0`` itself if it is already a peak; an ``x0`` outside [lo, hi]
-    starts from the nearer end.
+    Steps once from ``x0`` (clamped to [lo, hi]) by ``width`` in the
+    direction the slope points there.  If that bracket holds a kink (an
+    ascending sequence, as in :func:`scan_then_bisect`), the nearest one
+    is the answer when the slope jumps through zero there; otherwise the
+    answer is the :func:`itp_root` of the slope, when the slope falls
+    through zero across the bracket.  Returns None in every other case,
+    leaving the caller to scan.
     """
-
-    def below(x: float, s: float) -> float:
-        return slope(math.nextafter(x, -math.inf)) if x in kinks else s
-
-    x, step = min(max(x0, lo), hi), width
-    right = slope(x)
-    if right > 0.0:
-        while x < hi:
-            i = bisect.bisect_right(kinks, x)
-            y = min(x + step, kinks[i] if i < len(kinks) else hi)
-            sy = slope(y)
-            ly = below(y, sy)
-            if ly <= 0.0 or sy <= 0.0:
-                return _peak(slope, x, y, right, ly, y, kinks)
-            x, right, step = y, sy, 2.0 * step
-        return hi
-    left = below(x, right)
-    if left < 0.0:
-        while x > lo:
-            i = bisect.bisect_left(kinks, x)
-            y = max(x - step, kinks[i - 1] if i > 0 else lo)
-            sy = slope(y)
-            ly = below(y, sy)
-            if sy >= 0.0 or ly >= 0.0:
-                return _peak(slope, y, x, sy, left, y, kinks)
-            x, left, step = y, ly, 2.0 * step
-        return lo
-    return x
+    x = min(max(x0, lo), hi)
+    s = slope(x)
+    i = bisect.bisect_right(kinks, x)  # the kinks nearest x: kinks[i - 1] <= x < kinks[i]
+    if s > 0.0:
+        a, b, k = x, min(x + width, hi), kinks[i] if i < len(kinks) else math.inf
+    else:
+        a, b, k = max(x - width, lo), x, kinks[i - 1] if i else -math.inf
+    if a <= k <= b:
+        return k if _jumps_through_zero(slope, k) else None
+    sa, sb = (s, slope(b)) if s > 0.0 else (slope(a), s)
+    return itp_root(slope, a, b, flo=sa, fhi=sb) if sa >= 0.0 >= sb else None
 
 
-def _peak(slope: Callable[[float], float], a: float, b: float, sa: float, sb: float, k: float,
-          kinks) -> float:
-    """The maximum on a bracket [a, b] that holds the point ``k``: ``k``
-    itself if it is a kink at which the slope jumps through zero, else the
-    root that :func:`itp_root` places from the end slopes already in hand,
-    ``sa >= 0 >= sb``."""
-    if k in kinks and slope(math.nextafter(k, -math.inf)) >= 0.0 >= slope(k):
-        return k
-    return itp_root(slope, a, b, flo=sa, fhi=sb)
+def _jumps_through_zero(slope: Callable[[float], float], k: float) -> bool:
+    """Whether the slope falls through zero at ``k``, from just below it to ``k``."""
+    return slope(math.nextafter(k, -math.inf)) >= 0.0 >= slope(k)

@@ -182,11 +182,11 @@ def cmd_compete(scenario: Scenario, args, out_dir: Path) -> int:
         raise ScenarioError(f"scenario {scenario.name!r} has no incumbent")
     tech = _pick_entry(scenario, args.technology)
     game = competition.CournotGame(scenario.dist, scenario.q1, tech.qos)
-    max_rounds = args.max_iter if args.max_iter is not None else 1_000
-    tol = args.tol if args.tol is not None else 1e-10
+    given = {key: value for key, value in (("max_rounds", args.max_iter), ("tol", args.tol))
+             if value is not None}
     out_path = out_dir / f"{scenario.name}_compete.csv"
     try:
-        outcome = competition.nash_solve(game, args.start, max_rounds, tol)
+        outcome = competition.nash_solve(game, args.start, **given)
     except NonConvergenceError as exc:
         _write_trajectory(out_path, game, exc.path)
         print(f"wrote {out_path}")
@@ -218,7 +218,7 @@ def _parse_grid(text: str, where: str) -> np.ndarray:
 
 
 def cmd_select(scenario: Scenario, args, out_dir: Path) -> int:
-    # parse grids up front so a malformed request writes nothing
+    # parse and solve everything before writing, so a failing request writes nothing
     grid1 = grid2 = None
     if args.k_grid is not None:
         grid1 = _parse_grid(args.k_grid, "--k-grid")
@@ -230,6 +230,7 @@ def cmd_select(scenario: Scenario, args, out_dir: Path) -> int:
         technologies=(*scenario.technologies, Technology.stay_out()),
         q1=scenario.q1,
     )
+    dmap = None if grid1 is None else selection.decision_map(problem, grid1, grid2)
     result = selection.select(problem)
     out_path = out_dir / f"{scenario.name}_select.csv"
     write_rows(out_path, ("technology", "cost", "revenue", "profit"), (
@@ -239,8 +240,7 @@ def cmd_select(scenario: Scenario, args, out_dir: Path) -> int:
     ))
     print(f"select name={scenario.name} chosen={result.chosen.name}")
     print(f"wrote {out_path}")
-    if grid1 is not None:
-        dmap = selection.decision_map(problem, grid1, grid2)
+    if dmap is not None:
         map_path = out_dir / f"{scenario.name}_select_map.csv"
         dmap.to_csv(map_path)
         print(f"wrote {map_path}")

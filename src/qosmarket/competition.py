@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import _XTOL, climb, scan_then_bisect
+from ._optim import _XTOL, scan_then_bisect, step_peak
 from .duopoly import _check_incumbent, _check_pair
 from .errors import DomainError, ModelError, NonConvergenceError
 from .qos import QoSModel
@@ -51,7 +51,7 @@ __all__ = [
 
 _SCAN = 2_001  # grid points of every revenue scan
 _GAP = 1.0 / 200  # widest gap between certificate samples, as a share of the market
-_VERIFY_TOL = 1e-8
+_VERIFY_TOL = 1e-8  # largest improvement at a verified equilibrium, relative to revenue
 
 # a solve's first round answers the entrant's start share, so starts that
 # differ only in the incumbent's share would repeat one solve
@@ -229,8 +229,9 @@ def _maximizer(
     each call computes only the rival-dependent column and the refinement.
     The entrant's slope jumps at its curve's nodes, so its grid holds the
     nodes inside (lo, hi) too; the incumbent's slope has no jumps.  Given
-    a ``start`` share, a call skips the scan and climbs from it (:func:`climb`),
-    first by a step of ``width``, to the local maximum there."""
+    a ``start`` share, a call first tries one uphill step of ``width`` from
+    it (:func:`step_peak`) and scans only if that step does not bracket a
+    maximum."""
     xs = np.linspace(lo, hi, _SCAN)
     kinks = () if q1 is not None else tuple(x for x in qos2.nodes if lo < x < hi)
     if kinks:
@@ -242,7 +243,9 @@ def _maximizer(
             return _revenue_slope(dist, qos2, lam, other, q1)
 
         if start is not None:
-            return climb(slope, start, width, lo, hi, kinks)
+            peak = step_peak(slope, start, width, lo, hi, kinks)
+            if peak is not None:
+                return peak
         return scan_then_bisect(lambda lam: _revenue_surface(dist, qos2, lam, other, q1), slope,
                                 xs, _surface_from_column(dist, qos2, xs, column, other, q1), kinks)
 
@@ -394,12 +397,12 @@ def _closed_pair(game: CournotGame):
 
 def _lead(own: float, own_prev: float, rival: float, rival_prev: float, rival_prev2: float,
           cell: float) -> tuple[float, float]:
-    """Start and first step of a climbed best response to the share
+    """Start and step width of a stepped best response to the share
     ``rival``, given the player's last two responses, ``own`` to
     ``rival_prev`` and ``own_prev`` to ``rival_prev2``.  The start extends
     the secant through those responses to ``rival``; its error scales with
     the product of the rival's last two moves, so that product, kept within
-    [4 _XTOL, one cell], is the first step."""
+    [4 _XTOL, one cell], is the width."""
     move, move_prev = rival - rival_prev, rival_prev - rival_prev2
     start = own + (own - own_prev) / move_prev * move if move_prev else own
     return start, min(max(abs(move * move_prev), 4 * _XTOL), cell)
@@ -415,19 +418,21 @@ def nash_solve(
 
     One round updates the incumbent and then the entrant.  On
     convergence the point is verified as an equilibrium by re-optimizing
-    each player numerically, with full scans (improvements below 1e-8
-    required).  Each player's numerical best response is built once per
-    solve: the share grid and the own-share column of its revenue scan
-    serve every round and the verification, and a scanned round computes
-    only the column that moves with the rival.  The first two rounds scan,
-    and so does every round after one that moved a share by more than one
-    cell of its player's scan.  The other rounds climb each player's
-    revenue slope (:func:`climb`) from the secant through that player's
-    last two responses, extended to the rival's new share.  If a climbed
-    round converges to a point that fails verification, the solve goes
-    on with scanned rounds for the rest of its budget; a scanned round's
-    failure raises.  Rounds use the closed forms instead where they exist
-    (uniform valuations, a congested affine entrant curve).  Raises
+    each player numerically, with full scans: each player's improvement
+    must stay below 1e-8 of its revenue there.  Each player's numerical
+    best response is built once per solve: the share grid and the
+    own-share column of its revenue scan serve every round and the
+    verification, and a scanned round computes only the column that moves
+    with the rival.  The first two rounds scan, and so does every round
+    after one that moved a share by more than one cell of its player's
+    scan.  The other rounds take one uphill step (:func:`step_peak`) from
+    the secant through each player's last two responses, extended to the
+    rival's new share, and scan only where that step does not bracket a
+    maximum.  If a stepped round converges to a point that fails
+    verification, the solve goes on with scanned rounds for the rest of
+    its budget; a scanned round's failure raises.  Rounds use the closed
+    forms instead where they exist (uniform valuations, a congested affine
+    entrant curve).  Raises
     NonConvergenceError (carrying the visited path, and naming the last
     round's largest move) if the round budget runs out, and DomainError
     unless ``max_rounds >= 1`` and ``tol > 0``.
@@ -450,11 +455,11 @@ def nash_solve(
     closed = _closed_pair(game)
     br1, br2 = closed or (resp1, resp2)
     cell1, cell2 = (_span(game, player) / (_SCAN - 1) for player in (1, 2))
-    may_climb, climbing = closed is None, False
+    may_step, stepping = closed is None, False
     path = [(l1, l2)]
     for rounds in range(1, max_rounds + 1):
-        climbed = climbing
-        if climbing:
+        stepped = stepping
+        if stepping:
             (l1_prev, l2_prev), l2_prev2 = path[-2], path[-3][1]
             n1 = resp1(l2, *_lead(l1, l1_prev, l2, l2_prev, l2_prev2, cell1))
             n2 = resp2(n1, *_lead(l2, l2_prev, n1, l1, l1_prev, cell2))
@@ -463,22 +468,22 @@ def nash_solve(
             n2 = br2(n1)
         d1, d2 = abs(n1 - l1), abs(n2 - l2)
         delta = max(d1, d2)
-        climbing = may_climb and rounds >= 2 and d1 <= cell1 and d2 <= cell2
+        stepping = may_step and rounds >= 2 and d1 <= cell1 and d2 <= cell2
         l1, l2 = n1, n2
         path.append((l1, l2))
         if delta < tol:
             r1, r2 = revenues(game, l1, l2)
             gain1 = revenues(game, resp1(l2), l2)[0] - r1
             gain2 = revenues(game, l1, resp2(l1))[1] - r2
-            if gain1 < _VERIFY_TOL and gain2 < _VERIFY_TOL:
+            if gain1 < _VERIFY_TOL * r1 and gain2 < _VERIFY_TOL * r2:
                 break
-            if not climbed or rounds == max_rounds:
+            if not stepped or rounds == max_rounds:
                 raise NonConvergenceError(
                     "converged point failed equilibrium verification "
                     f"(improvements {gain1:.3g}, {gain2:.3g})",
                     path,
                 )
-            may_climb = climbing = False  # a climb missed a global maximum
+            may_step = stepping = False  # a step missed a global maximum
     else:
         raise NonConvergenceError(
             f"best-response iteration did not converge in {max_rounds} rounds "

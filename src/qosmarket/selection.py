@@ -124,8 +124,14 @@ def select(problem: SelectionProblem) -> SelectionResult:
     """
     ordered = problem.ordered()
     profits = [(t.name, technology_profit(problem, t)) for t in ordered]
-    best = max(range(len(ordered)), key=lambda i: (profits[i][1], -i))
-    return SelectionResult(chosen=ordered[best], profits=tuple(profits))
+    return SelectionResult(chosen=_choose(ordered, [p for _, p in profits]),
+                           profits=tuple(profits))
+
+
+def _choose(ordered: tuple[Technology, ...], profits) -> Technology:
+    """The technology of highest profit among ``ordered`` (entries as
+    listed, stay-out last); a tie goes to the one listed first."""
+    return ordered[max(range(len(ordered)), key=lambda i: (profits[i], -i))]
 
 
 def decision_map(problem: SelectionProblem, k_grid_1, k_grid_2) -> DecisionMap:
@@ -134,10 +140,10 @@ def decision_map(problem: SelectionProblem, k_grid_1, k_grid_2) -> DecisionMap:
     Gross revenue is computed once per technology (it does not depend on
     the cost), then reused across all grid cells.
     """
-    entries = [t for t in problem.technologies if t.is_entry]
+    ordered = problem.ordered()
+    entries = ordered[:-1]
     if len(entries) != 2:
         raise ModelError(f"decision map needs exactly two entry technologies, got {len(entries)}")
-    stay_out = next(t for t in problem.technologies if not t.is_entry)
     g1 = np.asarray(k_grid_1, dtype=float)
     g2 = np.asarray(k_grid_2, dtype=float)
     for grid in (g1, g2):
@@ -147,19 +153,12 @@ def decision_map(problem: SelectionProblem, k_grid_1, k_grid_2) -> DecisionMap:
             raise ModelError("cost grids must be nonnegative and finite")
         if np.any(np.diff(grid) <= 0.0) and grid.size > 1:
             raise ModelError("cost grids must be strictly ascending")
-    rev1 = _gross_revenue(problem, entries[0])
-    rev2 = _gross_revenue(problem, entries[1])
-    cells = []
-    for k1 in g1:
-        row = []
-        for k2 in g2:
-            profits = (rev1 - k1, rev2 - k2, 0.0)
-            best = max(range(3), key=lambda i: (profits[i], -i))
-            row.append((entries[0].name, entries[1].name, stay_out.name)[best])
-        cells.append(tuple(row))
+    rev1, rev2 = (_gross_revenue(problem, t) for t in entries)
+    cells = tuple(tuple(_choose(ordered, (rev1 - k1, rev2 - k2, 0.0)).name for k2 in g2)
+                  for k1 in g1)
     return DecisionMap(
         k_grid_1=tuple(float(k) for k in g1),
         k_grid_2=tuple(float(k) for k in g2),
         tech_names=(entries[0].name, entries[1].name),
-        cells=tuple(cells),
+        cells=cells,
     )

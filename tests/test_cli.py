@@ -240,6 +240,14 @@ class TestSelect:
         assert "expected LO:HI:N" in capsys.readouterr().err
         assert not (tmp_path / "split_monopoly_select.csv").exists()
 
+    def test_unmappable_grid_writes_nothing(self, tmp_path, capsys):
+        # the triangle scenario has one entry technology, so no map exists
+        assert cli.main(["select", TRI, "--k-grid", "0:0.1:3", "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "decision map needs exactly two entry technologies" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFitQos:
     def test_fit_output(self, tmp_path, capsys):

@@ -549,13 +549,13 @@ class TestClimbingRounds:
 
     def test_a_wrong_climb_is_undone_by_the_next_scan(self, monkeypatch, triangle, split_qos):
         game = qm.CournotGame(triangle, 1.687, split_qos)
-        climb, calls = competition.climb, []
+        step, calls = competition.step_peak, []
 
         def once_wrong(*args):
             calls.append(args)
-            return 0.05 if len(calls) == 1 else climb(*args)
+            return 0.05 if len(calls) == 1 else step(*args)
 
-        monkeypatch.setattr(competition, "climb", once_wrong)
+        monkeypatch.setattr(competition, "step_peak", once_wrong)
         out = qm.nash_solve(game)
         l1, l2, _ = global_rounds(game)
         assert len(calls) > 2
@@ -569,13 +569,13 @@ class TestClimbingRounds:
         game = qm.CournotGame(qm.ValuationDistribution.from_samples(a, triangle.pdf(a / 1_000.0) / 1_000.0),
                               1.687, split_qos)
         l1, l2, _ = global_rounds(game)
-        climb, landed = competition.climb, []
+        step, landed = competition.step_peak, []
 
-        def stalled(*args):  # each player's first climb lands 1e-4 off its peak, and stays there
-            landed.append(climb(*args) + 1e-4 if len(landed) < 2 else landed[len(landed) % 2])
+        def stalled(*args):  # each player's first step lands 1e-4 off its peak, and stays there
+            landed.append(step(*args) + 1e-4 if len(landed) < 2 else landed[len(landed) % 2])
             return landed[-1]
 
-        monkeypatch.setattr(competition, "climb", stalled)
+        monkeypatch.setattr(competition, "step_peak", stalled)
         quantile, scans = qm.ValuationDistribution.quantile, []
 
         def counting(self, u):
@@ -590,6 +590,23 @@ class TestClimbingRounds:
         # every round but the climbed ones scans, plus the own-share column
         # and two verifications after each of the two converged rounds
         assert sum(scans) == 2 * (out.iterations - 2) + 5
+
+    def test_verification_is_relative_to_revenue(self, monkeypatch, triangle, split_qos):
+        # 5e-5 off the equilibrium each player gains only about 4.5e-9 by
+        # re-optimizing, but about 4e-8 of its revenue: not an equilibrium
+        game = qm.CournotGame(triangle, 1.687, split_qos)
+        l1, l2, _ = global_rounds(game)
+        step, landed = competition.step_peak, []
+
+        def stalled(*args):  # each player's first step lands 5e-5 off its peak, and stays there
+            landed.append(step(*args) + 5e-5 if len(landed) < 2 else landed[len(landed) % 2])
+            return landed[-1]
+
+        monkeypatch.setattr(competition, "step_peak", stalled)
+        out = qm.nash_solve(game)
+        assert len(landed) == 4  # two stepped rounds, the second one stalled
+        assert out.lam1 == pytest.approx(l1, abs=1e-9)
+        assert out.lam2 == pytest.approx(l2, abs=1e-9)
 
     @pytest.mark.parametrize("density", ["uniform", "triangle"])
     def test_failed_verification_after_a_global_round_raises(self, density, monkeypatch, triangle,

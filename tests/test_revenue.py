@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import qosmarket as qm
 from qosmarket import _optim
-from qosmarket._optim import climb, itp_root, scan_then_bisect
+from qosmarket._optim import itp_root, scan_then_bisect, step_peak
 from qosmarket.competition import _own_column, _revenue_slope, _revenue_surface, _surface_from_column
 from qosmarket.revenue import revenue_at_price
 from test_acceptance import random_nonincreasing_density
@@ -391,27 +391,37 @@ class TestScanThenBisect:
         assert x == 0.5
 
 
-class TestClimb:
-    @pytest.mark.parametrize("x0", [0.0, 0.1, 0.3, 0.45, 1.0])
-    def test_smooth_maximum_from_either_side(self, x0):
-        assert abs(climb(lambda t: 0.3 - t, x0, 1e-3, 0.0, 1.0) - 0.3) <= 1e-15
+class TestStepPeak:
+    @pytest.mark.parametrize("x0", [0.2999, 0.3, 0.3001])
+    def test_smooth_root_from_either_side(self, x0):
+        assert abs(step_peak(lambda t: 0.3 - t, x0, 1e-3, 0.0, 1.0) - 0.3) <= 1e-15
 
-    def test_end_where_the_slope_points_out(self):
-        assert climb(lambda t: 1.0, 0.4, 1e-3, 0.0, 0.5) == 0.5
-        assert climb(lambda t: -1.0, 0.4, 1e-3, 0.0, 0.5) == 0.0
+    @pytest.mark.parametrize("x0", [0.1, 0.5])
+    def test_none_when_the_step_does_not_bracket(self, x0):
+        assert step_peak(lambda t: 0.3 - t, x0, 1e-3, 0.0, 1.0) is None
 
-    @pytest.mark.parametrize("x0", [0.0, 0.25, 0.3, 0.6])
-    def test_kink_where_the_slope_jumps_through_zero(self, x0):
-        assert climb(lambda t: 1.0 if t < 0.3 else -2.0, x0, 1e-2, 0.0, 1.0, (0.3,)) == 0.3
+    def test_none_where_the_slope_points_out_of_the_interval(self):
+        assert step_peak(lambda t: 1.0, 0.5, 1e-3, 0.0, 0.5) is None
+        assert step_peak(lambda t: -1.0, 0.0, 1e-3, 0.0, 0.5) is None
 
-    def test_stops_below_a_kink_where_the_slope_jumps_back_up(self):
+    @pytest.mark.parametrize("x0", [0.295, 0.3, 0.305])
+    def test_node_where_the_slope_jumps_through_zero(self, x0):
+        assert step_peak(lambda t: 1.0 if t < 0.3 else -2.0, x0, 1e-2, 0.0, 1.0, (0.3,)) == 0.3
+
+    @pytest.mark.parametrize("x0", [0.15, 0.24])
+    def test_none_at_a_node_where_the_slope_jumps_back_up(self, x0):
         # the slope falls through zero at 0.25 and jumps from -0.05 to +0.15
-        # at the kink 0.3: the step that lands on the kink brackets 0.25
+        # at the node 0.3, so a step that holds the node cannot answer
         def slope(t):
             return 0.25 - t if t < 0.3 else 0.45 - t
 
-        assert abs(climb(slope, 0.1, 0.5, 0.0, 1.0, (0.3,)) - 0.25) <= 1e-15
-        assert abs(climb(slope, 0.6, 1e-3, 0.0, 1.0, (0.3,)) - 0.45) <= 1e-15
+        assert step_peak(slope, x0, 0.2, 0.0, 1.0, (0.3,)) is None
+
+    def test_start_outside_the_interval_is_clamped(self):
+        assert abs(step_peak(lambda t: 0.3 - t, -1.0, 0.5, 0.0, 1.0) - 0.3) <= 1e-15
+        assert abs(step_peak(lambda t: 0.7 - t, 2.0, 0.5, 0.0, 1.0) - 0.7) <= 1e-15
+        # the clamped start is a node where the slope jumps through zero
+        assert step_peak(lambda t: 1.0 if t < 0.5 else -1.0, 2.0, 0.5, 0.0, 0.5, (0.5,)) == 0.5
 
 
 @pytest.fixture
