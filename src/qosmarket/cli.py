@@ -230,8 +230,7 @@ def cmd_select(scenario: Scenario, args, out_dir: Path) -> int:
         technologies=(*scenario.technologies, Technology.stay_out()),
         q1=scenario.q1,
     )
-    dmap = None if grid1 is None else selection.decision_map(problem, grid1, grid2)
-    result = selection.select(problem)
+    result, dmap = selection._decide(problem, grid1, grid2)
     out_path = out_dir / f"{scenario.name}_select.csv"
     write_rows(out_path, ("technology", "cost", "revenue", "profit"), (
         (name, tech.cost_per_period, profit + tech.cost_per_period if tech.is_entry else 0.0,

@@ -146,8 +146,9 @@ def _revenue_surface(dist: ValuationDistribution, qos2: QoSModel, own: float, ot
                      q1: float | None) -> float:
     """Own revenue at scalar own and rival shares: the incumbent's when ``q1``
     is given, else the entrant's (against an empty rival, the monopoly
-    revenue); zero where the shares exceed the market.  The expressions of
-    :func:`_surface_from_column` in pure Python, for the maximizers' probes."""
+    revenue); zero where the shares exceed the market.  The scalar probe of
+    the maximizers; :meth:`_RevenueKernel.scan` gives the same values over a
+    grid."""
     rest = 1.0 - own - other
     if not rest >= 0.0:
         return 0.0
@@ -158,52 +159,79 @@ def _revenue_surface(dist: ValuationDistribution, qos2: QoSModel, own: float, ot
     return own * (dist.quantile(min(max(1.0 - own, 0.0), 1.0)) * (q1 - g) + a2 * g)
 
 
-def _own_column(dist: ValuationDistribution, qos2: QoSModel, own: np.ndarray, q1: float | None):
-    """The factor of the revenue surface that only the own share moves:
-    ``quantile(1 - own)`` for the incumbent, ``g(own)`` for the entrant."""
-    if q1 is None:
-        return qos2.evaluate(own)
-    return dist.quantile(np.clip(1.0 - own, 0.0, 1.0))
+class _RevenueKernel:
+    """One player's :func:`_revenue_surface` over an ascending grid ``xs`` of
+    own shares, and its slope in the own share, against any rival share.
 
+    Built once per maximizer.  The grid is kept in reverse, so that ``1 -
+    own`` ascends, and the factor that only the own share moves is computed
+    once: ``quantile(1 - own)`` for the incumbent, ``g(own)`` for the
+    entrant.  A scan works on the feasible part of the grid alone, where
+    ``1 - own - other >= 0``.  There that argument ascends, so its quantile
+    places the density's nodes among the arguments
+    (``ValuationDistribution._sorted_quantile``), and the revenue is formed
+    in place.  Each element sees the scalar probe's operations in its
+    order, so a scan and the probe agree bit for bit.
+    """
 
-def _surface_from_column(
-    dist: ValuationDistribution, qos2: QoSModel, own: np.ndarray, column, other, q1: float | None
-) -> np.ndarray:
-    """:func:`_revenue_surface` over an array of own shares, given ``column =
-    _own_column(dist, qos2, own, q1)``."""
-    rest = 1.0 - own - other
-    feasible = rest >= 0.0
-    a2 = dist.quantile(np.where(feasible, np.clip(rest, 0.0, 1.0), 0.0))
-    if q1 is None:
-        r = own * a2 * column
-    else:
-        g = qos2.evaluate(other)
-        r = own * (column * (q1 - g) + a2 * g)
-    return np.where(feasible, r, 0.0)
+    def __init__(self, dist: ValuationDistribution, qos2: QoSModel, q1: float | None,
+                 xs: np.ndarray) -> None:
+        self._dist, self._qos2, self._q1 = dist, qos2, q1
+        self._own = xs[::-1].copy()
+        self._rest = 1.0 - self._own
+        self._column = qos2.evaluate(self._own) if q1 is None else dist._sorted_quantile(self._rest)
 
+    def scan(self, other: float) -> np.ndarray:
+        """:func:`_revenue_surface` at every grid share, in grid order,
+        against the rival share ``other``; zero past the feasible part."""
+        k = int(np.searchsorted(self._rest, other))  # rest - other >= 0 from k on
+        a2 = self._dist._sorted_quantile(self._rest[k:] - other)
+        own, column = self._own[k:], self._column[k:]
+        vals = np.zeros(self._own.size)
+        out = vals[: own.size][::-1]
+        if self._q1 is None:
+            np.multiply(np.multiply(own, a2, out=a2), column, out=out)
+        else:
+            g = self._qos2.evaluate(other)
+            price = np.add(np.multiply(column, self._q1 - g), np.multiply(a2, g, out=a2), out=a2)
+            np.multiply(own, price, out=out)
+        return vals
 
-def _revenue_slope(
-    dist: ValuationDistribution, qos2: QoSModel, own: float, other: float, q1: float | None
-) -> float:
-    """Derivative of :func:`_revenue_surface` in the own share, at scalars.
+    def slope(self, other: float) -> Callable[[float], float]:
+        """The derivative of :func:`_revenue_surface` in the own share
+        against the rival share ``other``, as a function of a scalar own
+        share.
 
-    quantile'(u) = 1/pdf(quantile(u)), infinite where the density vanishes;
-    at share 0 only the price level remains."""
-    a2 = dist.quantile(max(1.0 - own - other, 0.0))
-    if q1 is None:
-        g = qos2.evaluate(own)
-        price, dprice = a2 * g, a2 * qos2.derivative(own) - g * _quantile_slope(dist, a2)
-    else:
-        g = qos2.evaluate(other)
-        a1 = dist.quantile(1.0 - own)
-        price = a1 * (q1 - g) + a2 * g
-        dprice = -(q1 - g) * _quantile_slope(dist, a1) - g * _quantile_slope(dist, a2)
-    return price if own == 0.0 else price + own * dprice
+        quantile'(u) = 1/pdf(quantile(u)), infinite where the density
+        vanishes; at share 0 only the price level remains.  Each call reads
+        a quantile with its density, and the entrant's curve with its slope,
+        in one search each; ``g(other)`` is read once, here."""
+        quantile, q1 = self._dist._quantile_density, self._q1
+        if q1 is None:
+            curve = self._qos2._value_slope
 
+            def entrant(own: float) -> float:
+                a2, f2 = quantile(max(1.0 - own - other, 0.0))
+                g, dg = curve(own)
+                price = a2 * g
+                if own == 0.0:
+                    return price
+                return price + own * (a2 * dg - g * (1.0 / f2 if f2 > 0.0 else math.inf))
 
-def _quantile_slope(dist: ValuationDistribution, alpha: float) -> float:
-    f = dist.pdf(alpha)
-    return 1.0 / f if f > 0.0 else math.inf
+            return entrant
+        g = self._qos2.evaluate(other)
+        margin = q1 - g
+
+        def incumbent(own: float) -> float:
+            a2, f2 = quantile(max(1.0 - own - other, 0.0))
+            a1, f1 = quantile(1.0 - own)
+            price = a1 * margin + a2 * g
+            if own == 0.0:
+                return price
+            return price + own * (-margin * (1.0 / f1 if f1 > 0.0 else math.inf)
+                                  - g * (1.0 / f2 if f2 > 0.0 else math.inf))
+
+        return incumbent
 
 
 def best_response(game: CournotGame, player: int, lam_other: float) -> float:
@@ -214,8 +242,10 @@ def best_response(game: CournotGame, player: int, lam_other: float) -> float:
     [0, 1/2], joined for the entrant by the nodes of its curve, then takes
     the best scan point if it is a node where the revenue slope jumps
     through zero, else the root of the analytic slope in the two cells
-    around it; ties resolve toward the smaller share.  Raises DomainError
-    when the incumbent's rival share lies beyond the entrant curve's span.
+    around it; ties resolve toward the smaller share.  The scan and the
+    slope come from one revenue kernel (:func:`_maximizer`).  Raises
+    DomainError when the incumbent's rival share lies beyond the entrant
+    curve's span.
     """
     return _responder(game, player)(lam_other)
 
@@ -225,29 +255,29 @@ def _maximizer(
 ) -> Callable[..., float]:
     """The share in [lo, hi] maximizing :func:`_revenue_surface` (the
     incumbent's when ``q1`` is given, else the entrant's), as a function of
-    the rival share.  The grid and the own-share column are built once, so
-    each call computes only the rival-dependent column and the refinement.
-    The entrant's slope jumps at its curve's nodes, so its grid holds the
-    nodes inside (lo, hi) too; the incumbent's slope has no jumps.  Given
-    a ``start`` share, a call first tries one uphill step of ``width`` from
-    it (:func:`step_peak`) and scans only if that step does not bracket a
-    maximum."""
+    the rival share.  The grid and its :class:`_RevenueKernel` are built
+    once, so a call pays for the feasible part of one scan against the
+    rival, in place, and for the scalar slopes of its refinement, each one
+    quantile-with-density search (two for the incumbent) plus, for the
+    entrant, one search of its curve.  The entrant's slope jumps at its
+    curve's nodes, so its grid holds the nodes inside (lo, hi) too; the
+    incumbent's slope has no jumps.  Given a ``start`` share, a call first
+    tries one uphill step of ``width`` from it (:func:`step_peak`) and
+    scans only if that step does not bracket a maximum."""
     xs = np.linspace(lo, hi, _SCAN)
     kinks = () if q1 is not None else tuple(x for x in qos2.nodes if lo < x < hi)
     if kinks:
         xs = np.union1d(xs, kinks)
-    column = _own_column(dist, qos2, xs, q1)
+    kernel = _RevenueKernel(dist, qos2, q1, xs)
 
     def maximize(other: float, start: float | None = None, width: float = 0.0) -> float:
-        def slope(lam: float) -> float:
-            return _revenue_slope(dist, qos2, lam, other, q1)
-
+        slope = kernel.slope(other)
         if start is not None:
             peak = step_peak(slope, start, width, lo, hi, kinks)
             if peak is not None:
                 return peak
         return scan_then_bisect(lambda lam: _revenue_surface(dist, qos2, lam, other, q1), slope,
-                                xs, _surface_from_column(dist, qos2, xs, column, other, q1), kinks)
+                                xs, kernel.scan(other), kinks)
 
     return maximize
 
@@ -420,10 +450,12 @@ def nash_solve(
     convergence the point is verified as an equilibrium by re-optimizing
     each player numerically, with full scans: each player's improvement
     must stay below 1e-8 of its revenue there.  Each player's numerical
-    best response is built once per solve: the share grid and the
-    own-share column of its revenue scan serve every round and the
-    verification, and a scanned round computes only the column that moves
-    with the rival.  The first two rounds scan, and so does every round
+    best response is built once per solve, around one revenue kernel
+    (:func:`_maximizer`): the share grid and the own-share column of its
+    revenue scan serve every round and the verification, a scanned round
+    computes only the feasible part of the column that moves with the
+    rival, and each slope evaluation is one quantile-with-density search
+    per quantile.  The first two rounds scan, and so does every round
     after one that moved a share by more than one cell of its player's
     scan.  The other rounds take one uphill step (:func:`step_peak`) from
     the secant through each player's last two responses, extended to the

@@ -154,12 +154,9 @@ class QoSModel:
         if isinstance(lam, float) or np.ndim(lam) == 0:
             v = float(lam)
             if not lo <= v <= hi:
-                raise DomainError(f"share outside [{lo:g}, {hi:g}]: {lam!r}")
+                raise self._outside(lam)
             return _table.value(self._x, self._q, self._slope, v)
-        a = np.asarray(lam, dtype=float)
-        if not (np.all(a >= lo) and np.all(a <= hi)):
-            raise DomainError(f"share outside [{lo:g}, {hi:g}]: {lam!r}")
-        return _table.values(*self._arrays, a)
+        return _table.values(*self._arrays, self._checked(lam))
 
     def derivative(self, lam):
         """Slope of the curve at ``lam``.
@@ -168,11 +165,34 @@ class QoSModel:
         except at the upper end of the span where the last segment's slope
         applies.
         """
-        self.evaluate(lam)
         if isinstance(lam, float) or np.ndim(lam) == 0:
-            return self._slope[bisect_right(self._x, float(lam), 1, len(self._slope)) - 1]
+            return self._value_slope(lam)[1]
         x, _, slope = self._arrays
-        return slope[_table.indices(x, np.asarray(lam, dtype=float))]
+        return slope[_table.indices(x, self._checked(lam))]
+
+    def _value_slope(self, lam) -> tuple[float, float]:
+        """:meth:`evaluate` and :meth:`derivative` at a scalar share, from one
+        segment search."""
+        v = float(lam)
+        x = self._x
+        if not x[0] <= v <= x[-1]:
+            raise self._outside(lam)
+        i = bisect_right(x, v) - 1
+        if i < len(self._slope):
+            s = self._slope[i]
+            return self._q[i] + s * (v - x[i]), s
+        return self._q[-1], self._slope[-1]  # the top of the span
+
+    def _checked(self, lam) -> np.ndarray:
+        """An array of shares as floats; DomainError unless all lie in the span."""
+        a = np.asarray(lam, dtype=float)
+        if not (np.all(a >= self._x[0]) and np.all(a <= self._x[-1])):
+            raise self._outside(lam)
+        return a
+
+    def _outside(self, lam) -> DomainError:
+        """The error for shares ``lam`` outside the span."""
+        return DomainError(f"share outside [{self._x[0]:g}, {self._x[-1]:g}]: {lam!r}")
 
     def __repr__(self) -> str:
         if self.is_affine():

@@ -122,10 +122,7 @@ def select(problem: SelectionProblem) -> SelectionResult:
     at exactly zero profit beats staying out.  The stay-out floor at 0
     means a technology with negative profit is never chosen.
     """
-    ordered = problem.ordered()
-    profits = [(t.name, technology_profit(problem, t)) for t in ordered]
-    return SelectionResult(chosen=_choose(ordered, [p for _, p in profits]),
-                           profits=tuple(profits))
+    return _decide(problem)[0]
 
 
 def _choose(ordered: tuple[Technology, ...], profits) -> Technology:
@@ -140,25 +137,41 @@ def decision_map(problem: SelectionProblem, k_grid_1, k_grid_2) -> DecisionMap:
     Gross revenue is computed once per technology (it does not depend on
     the cost), then reused across all grid cells.
     """
+    return _decide(problem, k_grid_1, k_grid_2)[1]
+
+
+def _decide(problem: SelectionProblem, k_grid_1=None,
+            k_grid_2=None) -> tuple[SelectionResult, DecisionMap | None]:
+    """:func:`select`'s result and, given the two cost grids, the
+    :func:`decision_map`, from one gross revenue per entry technology.
+    The grids are checked before any revenue is computed."""
     ordered = problem.ordered()
     entries = ordered[:-1]
-    if len(entries) != 2:
-        raise ModelError(f"decision map needs exactly two entry technologies, got {len(entries)}")
-    g1 = np.asarray(k_grid_1, dtype=float)
-    g2 = np.asarray(k_grid_2, dtype=float)
-    for grid in (g1, g2):
-        if grid.ndim != 1 or grid.size < 1:
-            raise ModelError("cost grids must be nonempty 1-D arrays")
-        if np.any(~np.isfinite(grid)) or np.any(grid < 0.0):
-            raise ModelError("cost grids must be nonnegative and finite")
-        if np.any(np.diff(grid) <= 0.0) and grid.size > 1:
-            raise ModelError("cost grids must be strictly ascending")
-    rev1, rev2 = (_gross_revenue(problem, t) for t in entries)
+    if k_grid_1 is not None:
+        if len(entries) != 2:
+            raise ModelError(f"decision map needs exactly two entry technologies, got {len(entries)}")
+        g1 = np.asarray(k_grid_1, dtype=float)
+        g2 = np.asarray(k_grid_2, dtype=float)
+        for grid in (g1, g2):
+            if grid.ndim != 1 or grid.size < 1:
+                raise ModelError("cost grids must be nonempty 1-D arrays")
+            if np.any(~np.isfinite(grid)) or np.any(grid < 0.0):
+                raise ModelError("cost grids must be nonnegative and finite")
+            if np.any(np.diff(grid) <= 0.0) and grid.size > 1:
+                raise ModelError("cost grids must be strictly ascending")
+    revenues = [_gross_revenue(problem, t) for t in entries]
+    profits = [(t.name, rev - t.cost_per_period) for t, rev in zip(entries, revenues)]
+    profits.append((ordered[-1].name, 0.0))
+    result = SelectionResult(chosen=_choose(ordered, [p for _, p in profits]), profits=tuple(profits))
+    if k_grid_1 is None:
+        return result, None
+    rev1, rev2 = revenues
     cells = tuple(tuple(_choose(ordered, (rev1 - k1, rev2 - k2, 0.0)).name for k2 in g2)
                   for k1 in g1)
-    return DecisionMap(
+    return result, DecisionMap(
         k_grid_1=tuple(float(k) for k in g1),
         k_grid_2=tuple(float(k) for k in g2),
         tech_names=(entries[0].name, entries[1].name),
         cells=cells,
     )
+

@@ -169,40 +169,89 @@ class ValuationDistribution:
         Raises DomainError for probabilities outside [0, 1].
         """
         if isinstance(u, float) or np.ndim(u) == 0:
-            v = float(u)
-            if not 0.0 <= v <= 1.0:  # NaN fails too
-                raise DomainError(f"probability outside [0, 1]: {u!r}")
-            if v == 0.0 or v == 1.0:
-                return self._beta * v
-            i = bisect_right(self._cum, v, 1, len(self._slope)) - 1
-            s = self._slope[i]
-            j = i + (s > 0.0)
-            r = abs(v - self._cum[j])
-            f = self._f[j]
-            d = 2.0 * r / (f + math.sqrt(max(f * f - 2.0 * abs(s) * r, 0.0)))
-            return min(max(self._x[j] - d if s > 0.0 else self._x[j] + d, self._x[i]), self._x[i + 1])
+            return self._quantile_density(u)[0]
         uu = np.asarray(u, dtype=float)
         if not np.all((uu >= 0.0) & (uu <= 1.0)):
             raise DomainError(f"probability outside [0, 1]: {u!r}")
-        x, _, cum, _ = self._arrays
-        cum_j, f_j, x_j, two_s, step = self._entries
-        i = _table.indices(cum, uu)
-        r = np.abs(uu - cum_j[i])
-        fj = f_j[i]
-        d = 2.0 * r / (fj + np.sqrt(np.maximum(fj * fj - two_s[i] * r, 0.0)))
-        out = np.minimum(np.maximum(x_j[i] + step[i] * d, x[:-1][i]), x[1:][i])
+        out = self._invert(uu, self._entries.take(_table.indices(self._arrays[2], uu), axis=1))
         return np.where((uu == 0.0) | (uu == 1.0), self._beta * uu, out)
 
+    def _quantile_density(self, u) -> tuple[float, float]:
+        """The scalar :meth:`quantile` at ``u`` and :meth:`pdf` there, from
+        one segment search.  At the right end of its segment the valuation
+        is the next node, where the density is that node's value."""
+        v = float(u)
+        if not 0.0 <= v <= 1.0:  # NaN fails too
+            raise DomainError(f"probability outside [0, 1]: {u!r}")
+        if v == 0.0 or v == 1.0:
+            return self._beta * v, self._f[0] if v == 0.0 else self._f[-1]
+        cum, f, x, slope = self._cum, self._f, self._x, self._slope
+        i = bisect_right(cum, v, 1, len(slope)) - 1
+        s = slope[i]
+        j = i + (s > 0.0)
+        r = abs(v - cum[j])
+        w = f[j] * f[j] - 2.0 * abs(s) * r
+        d = 2.0 * r / (f[j] + math.sqrt(0.0 if 0.0 > w else w))
+        a = x[j] - d if s > 0.0 else x[j] + d
+        if x[i] > a:  # min(max(a, x[i]), x[i + 1])
+            a = x[i]
+        if a > x[i + 1]:
+            a = x[i + 1]
+        return a, f[i + 1] if a == x[i + 1] else f[i] + s * (a - x[i])
+
+    def _sorted_quantile(self, u: np.ndarray) -> np.ndarray:
+        """:meth:`quantile` of a nonempty ascending 1-D array within [0, 1].
+
+        Instead of searching every ``u`` among the cdf nodes, it places each
+        interior node among the ``u`` and repeats each segment's constants
+        over the run of ``u`` it holds.  Only a leading run can be 0 and
+        only a trailing run 1; those take the conventional ends.
+        """
+        if not (u[0] >= 0.0 and u[-1] <= 1.0):
+            raise DomainError(f"probability outside [0, 1]: {u!r}")
+        ends = np.searchsorted(u, self._cum_bounds)
+        out = self._invert(u, np.repeat(self._entries, ends[1:] - ends[:-1], axis=1))
+        if u[0] == 0.0:
+            zeros = np.searchsorted(u, 0.0, side="right")
+            out[:zeros] = self._beta * u[:zeros]
+        if u[-1] == 1.0:
+            out[np.searchsorted(u, 1.0):] = self._beta
+        return out
+
+    @staticmethod
+    def _invert(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The quadratic inverse of :meth:`quantile` at probabilities ``u``
+        inside their segments, given each one's :attr:`_entries` column in
+        ``rows``.  Works in place in ``rows``, one pass per operation, with
+        the operations of the scalar path in its order."""
+        cum_j, f_j, f_sq, two_s, step2, x_j, x_lo, x_hi = rows
+        r = np.abs(np.subtract(u, cum_j, out=cum_j), out=cum_j)
+        w = np.subtract(f_sq, np.multiply(two_s, r, out=two_s), out=two_s)
+        w = np.add(f_j, np.sqrt(np.maximum(w, 0.0, out=w), out=w), out=w)
+        d = np.divide(np.multiply(step2, r, out=r), w, out=r)  # (+-2r) / w = +-(2r / w)
+        return np.minimum(np.maximum(np.add(x_j, d, out=d), x_lo, out=d), x_hi, out=d)
+
     @cached_property
-    def _entries(self) -> tuple[np.ndarray, ...]:
-        """Per segment, what the array :meth:`quantile` gathers: the cdf,
-        density and position of the node it enters from, ``2|slope|`` and
-        the direction of the walk (-1 from the right node, +1 from the
-        left; ``x - d`` and ``x + -1 * d`` round alike)."""
+    def _entries(self) -> np.ndarray:
+        """Per segment (one column each), what the array :meth:`quantile`
+        gathers, row by row: the cdf, density and squared density of the
+        node it enters from, ``2|slope|``, twice the direction of the walk
+        (-2 from the right node, +2 from the left; ``x - d`` and ``x + -1 *
+        d`` round alike), the position of that node, and the segment's two
+        ends."""
         x, f, cum, slope = self._arrays
         up = slope > 0.0
         j = np.arange(slope.size) + up
-        return _table.frozen_arrays(cum[j], f[j], x[j], 2.0 * np.abs(slope), np.where(up, -1.0, 1.0))
+        table = np.array([cum[j], f[j], f[j] * f[j], 2.0 * np.abs(slope), np.where(up, -2.0, 2.0),
+                          x[j], x[:-1], x[1:]])
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def _cum_bounds(self) -> np.ndarray:
+        """The interior cdf nodes between -inf and inf: where each segment's
+        run starts and ends in a sorted array of probabilities."""
+        return np.concatenate(([-math.inf], self._arrays[2][1:-1], [math.inf]))
 
     # -- derived constants ----------------------------------------------
 

@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 
 import qosmarket
-from qosmarket import cli
+from qosmarket import cli, selection
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 MONO = str(SCENARIO_DIR / "split_monopoly.json")
 DUO = str(SCENARIO_DIR / "split_duopoly.json")
 TRI = str(SCENARIO_DIR / "triangle_custom.json")
 QOS_CSV = str(SCENARIO_DIR / "qos_curve.csv")
+CUSTOM_INC = str(SCENARIO_DIR.parent / "perfbench" / "scenarios" / "custom_incumbent.json")
 
 
 def read_rows(path):
@@ -233,6 +234,18 @@ class TestSelect:
         assert cells[("0", "0")] == "split"
         assert cells[("0.1", "0")] == "common"
         assert cells[("0.3", "0.3")] == "split"
+
+    def test_decision_map_solves_each_game_once(self, monkeypatch, tmp_path, capsys):
+        # the profit table and the map share one Nash solve per technology
+        solve, curves = selection.nash_solve, []
+
+        def counting(game, *args, **kwargs):
+            curves.append(game.qos2)
+            return solve(game, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "nash_solve", counting)
+        assert cli.main(["select", CUSTOM_INC, "--k-grid", "0:0.2:3", "--out", str(tmp_path)]) == 0
+        assert len(curves) == 2 and curves[0] is not curves[1]
 
     def test_malformed_grid_writes_nothing(self, tmp_path, capsys):
         assert cli.main(["select", MONO, "--k-grid", "0:0.3",

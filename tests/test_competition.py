@@ -14,11 +14,9 @@ from qosmarket._optim import scan_then_bisect
 from qosmarket.competition import (
     DEFAULT_STARTS,
     _cross_partials,
-    _own_column,
     _responder,
-    _revenue_slope,
+    _RevenueKernel,
     _revenue_surface,
-    _surface_from_column,
     inverse_demand,
     marginal_valuations,
     revenues,
@@ -437,7 +435,12 @@ class TestNashRobustness:
             for other in (0.1, 0.3):
                 b = qm.best_response(game, player, other)
                 q1 = game.q1 if player == 1 else None
-                assert abs(_revenue_slope(triangle, game.qos2, b, other, q1)) < 1e-12
+                assert abs(revenue_slope(triangle, game.qos2, b, other, q1)) < 1e-12
+
+
+def revenue_slope(dist, qos2, own: float, other: float, q1) -> float:
+    """The revenue kernel's slope in the own share at one point."""
+    return _RevenueKernel(dist, qos2, q1, np.array([own])).slope(other)(own)
 
 
 def seeded_custom_game(seed: int) -> qm.CournotGame:
@@ -459,14 +462,13 @@ def rebuilt_response(game: qm.CournotGame, player: int, other: float) -> float:
     q1 = game.q1 if player == 1 else None
     hi = 0.5 if player == 1 else min(0.5, game.qos2.domain[1])
     kinks = () if player == 1 else tuple(x for x in game.qos2.nodes if 0.0 < x < hi)
-    xs = np.union1d(np.linspace(0.0, hi, 2_001), kinks)
+    xs = np.union1d(np.linspace(0.0, hi, competition._SCAN), kinks)
+    kernel = _RevenueKernel(game.dist, game.qos2, q1, xs)
 
     def surface(lam):
         return _revenue_surface(game.dist, game.qos2, lam, other, q1)
 
-    scan = _surface_from_column(game.dist, game.qos2, xs, _own_column(game.dist, game.qos2, xs, q1), other, q1)
-    return scan_then_bisect(surface, lambda lam: _revenue_slope(game.dist, game.qos2, lam, other, q1),
-                            xs, scan, kinks)
+    return scan_then_bisect(surface, kernel.slope(other), xs, kernel.scan(other), kinks)
 
 
 class TestOncePerSolveScan:
@@ -489,8 +491,7 @@ class TestOncePerSolveScan:
             game = seeded_custom_game(seed)
             for q1 in (game.q1, None):
                 for other in (0.0, 0.3, 0.7):  # 0.7: past the market's end
-                    surface = _surface_from_column(game.dist, game.qos2, own,
-                                                   _own_column(game.dist, game.qos2, own, q1), other, q1)
+                    surface = _RevenueKernel(game.dist, game.qos2, q1, own).scan(other)
                     probes = [_revenue_surface(game.dist, game.qos2, float(o), other, q1) for o in own]
                     assert np.array(probes).tobytes() == surface.tobytes()
 
@@ -499,22 +500,34 @@ class TestOncePerSolveScan:
         # incumbent's own-share column once and the two verification
         # responses; rounds after the second that follow one that moved no
         # share by more than a scan cell climb and scan nothing
-        quantile = qm.ValuationDistribution.quantile
-        sizes = []
-
-        def counting(self, u):
-            if np.ndim(u) > 0:
-                sizes.append(np.size(u))
-            return quantile(self, u)
-
-        monkeypatch.setattr(qm.ValuationDistribution, "quantile", counting)
+        sizes = array_quantile_sizes(monkeypatch)
         out = qm.nash_solve(qm.CournotGame(triangle, 1.687, split_qos))
-        cell = 0.5 / 2_000
+        cell = 0.5 / (competition._SCAN - 1)
         moves = [max(abs(b1 - a1), abs(b2 - a2)) for (a1, a2), (b1, b2) in zip(out.path, out.path[1:])]
         scanned = sum(r < 2 or moves[r - 1] > cell for r in range(out.iterations))
         assert (out.iterations, scanned) == (13, 5)
         assert len(sizes) == 2 * scanned + 3 == 13
-        assert set(sizes) == {2_001}
+        assert set(sizes) == {competition._SCAN}
+
+
+def array_quantile_sizes(monkeypatch) -> list[int]:
+    """The sizes of the array quantiles taken from here on: those of the
+    public ``quantile`` and those of the revenue kernel's sorted path."""
+    quantile, sorted_quantile = qm.ValuationDistribution.quantile, qm.ValuationDistribution._sorted_quantile
+    sizes = []
+
+    def counting(self, u):
+        if np.ndim(u) > 0:
+            sizes.append(np.size(u))
+        return quantile(self, u)
+
+    def counting_sorted(self, u):
+        sizes.append(np.size(u))
+        return sorted_quantile(self, u)
+
+    monkeypatch.setattr(qm.ValuationDistribution, "quantile", counting)
+    monkeypatch.setattr(qm.ValuationDistribution, "_sorted_quantile", counting_sorted)
+    return sizes
 
 
 def global_rounds(game: qm.CournotGame, start=(0.25, 0.25), tol=1e-10):
@@ -576,20 +589,14 @@ class TestClimbingRounds:
             return landed[-1]
 
         monkeypatch.setattr(competition, "step_peak", stalled)
-        quantile, scans = qm.ValuationDistribution.quantile, []
-
-        def counting(self, u):
-            scans.append(np.ndim(u))
-            return quantile(self, u)
-
-        monkeypatch.setattr(qm.ValuationDistribution, "quantile", counting)
+        scans = array_quantile_sizes(monkeypatch)
         out = qm.nash_solve(game)
         assert len(landed) == 4  # two climbed rounds, the second one stalled
         assert out.lam1 == pytest.approx(l1, abs=1e-9)
         assert out.lam2 == pytest.approx(l2, abs=1e-9)
         # every round but the climbed ones scans, plus the own-share column
         # and two verifications after each of the two converged rounds
-        assert sum(scans) == 2 * (out.iterations - 2) + 5
+        assert len(scans) == 2 * (out.iterations - 2) + 5
 
     def test_verification_is_relative_to_revenue(self, monkeypatch, triangle, split_qos):
         # 5e-5 off the equilibrium each player gains only about 4.5e-9 by

@@ -70,6 +70,8 @@ class TestEvaluate:
             assert scalars.tobytes() == g.evaluate(probes).tobytes()
             slopes = np.array([g.derivative(float(lam)) for lam in probes])
             assert slopes.tobytes() == g.derivative(probes).tobytes()
+            pairs = [g._value_slope(lam) for lam in probes.tolist()]
+            assert pairs == list(zip(scalars.tolist(), slopes.tolist()))
 
     def test_nonincreasing_everywhere(self):
         curves = [
@@ -99,6 +101,26 @@ class TestDerivative:
         assert g.derivative(0.5) == pytest.approx(-0.2, abs=1e-12)
         assert g.derivative(0.0) == pytest.approx(-0.4, abs=1e-12)
         assert g.derivative(1.0) == pytest.approx(-0.2, abs=1e-12)
+
+    def test_checks_the_span_without_evaluating(self, monkeypatch):
+        g = qm.QoSModel.tabulated([0.1, 0.5, 0.9], [1.0, 0.8, 0.7])
+        outside = (0.05, float("nan"), np.array([0.2, 0.95]), [0.0])
+        messages = []
+        for lam in outside:
+            with pytest.raises(qm.DomainError) as exc:
+                g.evaluate(lam)
+            messages.append(str(exc.value))
+
+        def refuse(self, lam):
+            raise AssertionError("derivative evaluated the curve")
+
+        monkeypatch.setattr(qm.QoSModel, "evaluate", refuse)
+        assert g.derivative(0.3) == pytest.approx(-0.5, abs=1e-12)
+        assert g.derivative(np.array([0.3, 0.5, 0.9])) == pytest.approx([-0.5, -0.25, -0.25], abs=1e-12)
+        for lam, message in zip(outside, messages):
+            with pytest.raises(qm.DomainError) as exc:
+                g.derivative(lam)
+            assert str(exc.value) == message
 
     def test_matches_finite_difference(self):
         h = 1e-5

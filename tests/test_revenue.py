@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 import qosmarket as qm
 from qosmarket import _optim
 from qosmarket._optim import itp_root, scan_then_bisect, step_peak
-from qosmarket.competition import _own_column, _revenue_slope, _revenue_surface, _surface_from_column
+from qosmarket.competition import _RevenueKernel, _revenue_surface
 from qosmarket.revenue import revenue_at_price
 from test_acceptance import random_nonincreasing_density
+from test_competition import revenue_slope
 from test_monopoly import full_span_curves, nonincreasing_densities
 
 TOL = 1e-9
@@ -307,7 +308,7 @@ def revenue_curve(dist, qos, shares):
     """Rows of ``(share, price, revenue)`` along the marginal-user curve; the
     revenue is the entrant's against an empty rival."""
     price = dist.quantile(1.0 - shares) * qos.evaluate(shares)
-    revenue = _surface_from_column(dist, qos, shares, _own_column(dist, qos, shares, None), 0.0, None)
+    revenue = _RevenueKernel(dist, qos, None, shares).scan(0.0)
     return np.column_stack([shares, price, revenue])
 
 
@@ -349,11 +350,11 @@ class TestExactOptimum:
         rising = qm.ValuationDistribution.from_samples(a, 2.0 * a)
         const = qm.QoSModel.constant(1.0)
         assert abs(qm.optimize(rising, const).share - 2.0 / 3.0) <= 1e-12
-        assert _revenue_slope(rising, const, 1.0, 0.0, None) == -math.inf
+        assert revenue_slope(rising, const, 1.0, 0.0, None) == -math.inf
 
     def test_slope_at_share_zero_is_the_price_level(self, triangle):
         # pdf(beta) = 0 for the triangle; at share 0 no 1/pdf term enters
-        assert _revenue_slope(triangle, qm.QoSModel.constant(1.0), 0.0, 0.0, None) == 1.0
+        assert revenue_slope(triangle, qm.QoSModel.constant(1.0), 0.0, 0.0, None) == 1.0
 
     def test_never_below_the_grid(self):
         rng = np.random.default_rng(11)
@@ -417,6 +418,11 @@ class TestStepPeak:
 
         assert step_peak(slope, x0, 0.2, 0.0, 1.0, (0.3,)) is None
 
+    def test_none_at_a_node_past_a_smooth_peak(self):
+        # the slope 1 - 2t is negative on both sides of the node 0.7, so the
+        # slope does not jump through zero there: the peak at 0.5 is no node
+        assert step_peak(lambda t: 1 - 2 * t, 0.4, 0.4, 0.0, 1.0, (0.7,)) is None
+
     def test_start_outside_the_interval_is_clamped(self):
         assert abs(step_peak(lambda t: 0.3 - t, -1.0, 0.5, 0.0, 1.0) - 0.3) <= 1e-15
         assert abs(step_peak(lambda t: 0.7 - t, 2.0, 0.5, 0.0, 1.0) - 0.7) <= 1e-15
@@ -427,13 +433,18 @@ class TestStepPeak:
 @pytest.fixture
 def slope_shares(monkeypatch):
     """The shares at which ``optimize`` evaluates the revenue slope."""
-    at = []
+    at, slope = [], _RevenueKernel.slope
 
-    def slope(dist, qos2, own, other, q1):
-        at.append(own)
-        return _revenue_slope(dist, qos2, own, other, q1)
+    def recording(kernel, other):
+        fn = slope(kernel, other)
 
-    monkeypatch.setattr(qm.competition, "_revenue_slope", slope)
+        def recorded(own):
+            at.append(own)
+            return fn(own)
+
+        return recorded
+
+    monkeypatch.setattr(_RevenueKernel, "slope", recording)
     return at
 
 
@@ -451,9 +462,9 @@ class TestKinkMaximum:
     def test_root_search_alone_lands_within_1e15_of_the_node(self, uniform1):
         qos = qm.QoSModel.tabulated(*self.KINKED)
         xs = np.linspace(0.0, 0.5, 2_001)
+        kernel = _RevenueKernel(uniform1, qos, None, xs)
         x = scan_then_bisect(lambda lam: _revenue_surface(uniform1, qos, lam, 0.0, None),
-                             lambda lam: _revenue_slope(uniform1, qos, lam, 0.0, None),
-                             xs, _surface_from_column(uniform1, qos, xs, _own_column(uniform1, qos, xs, None), 0.0, None))
+                             kernel.slope(0.0), xs, kernel.scan(0.0))
         assert x != 0.29917
         assert abs(x - 0.29917) <= 1e-15
 

@@ -335,6 +335,11 @@ class TestQuantileProperties:
         scalars = np.array([d.quantile(float(v)) for v in u])
         assert scalars.tobytes() == d.quantile(u).tobytes()
         assert d.quantile(0.0) == 0.0 and d.quantile(1.0) == d.beta
+        # the revenue kernel's paths: sorted arrays, and each scalar with its density
+        ordered = np.sort(u)
+        assert d._sorted_quantile(ordered).tobytes() == d.quantile(ordered).tobytes()
+        for v, a in zip(u.tolist(), scalars.tolist()):
+            assert d._quantile_density(v) == (a, d.pdf(a))
 
     @settings(max_examples=100)
     @given(
@@ -351,3 +356,7 @@ class TestQuantileProperties:
             d.quantile(bad)
         with pytest.raises(qm.DomainError):
             d.quantile(np.array([0.5, bad]))
+        with pytest.raises(qm.DomainError):
+            d._quantile_density(bad)
+        with pytest.raises(qm.DomainError):
+            d._sorted_quantile(np.sort([0.5, bad]))
