@@ -51,6 +51,38 @@ def values(x: np.ndarray, y: np.ndarray, slope: np.ndarray, t: np.ndarray) -> np
     return np.where(t == x[-1], y[-1], y[i] + slope[i] * (t - x[i]))
 
 
+def one_segment(xs, t: np.ndarray) -> int | None:
+    """The segment (as :func:`indices` numbers them) that holds all of a
+    nonempty ascending array ``t`` within ``[xs[0], xs[-1]]``, or None when
+    ``t`` reaches past an interior node."""
+    last = len(xs) - 2
+    i = bisect_right(xs, t[0], 1, last + 1) - 1
+    return i if i == last or t[-1] < xs[i + 1] else None
+
+
+def sorted_values(xs, ys, slopes, t: np.ndarray) -> np.ndarray:
+    """:func:`values` of a nonempty ascending array ``t`` within
+    ``[xs[0], xs[-1]]``, on the node tuples.
+
+    Instead of searching every ``t`` among the nodes, it places the
+    interior nodes among the ``t`` once.  When all of ``t`` lies on one
+    segment its constants are scalars; otherwise each segment's constants
+    repeat over the run of ``t`` it holds.  Each element sees the
+    operations of :func:`values`, and the top node comes back exactly.
+    """
+    i = one_segment(xs, t)
+    if i is not None:
+        out = ys[i] + slopes[i] * (t - xs[i])
+    else:
+        ends = np.searchsorted(t, xs[1:-1])
+        runs = np.diff(ends, prepend=0, append=t.size)
+        x, y, slope = np.repeat(np.array((xs[:-1], ys[:-1], slopes)), runs, axis=1)
+        out = np.add(y, np.multiply(slope, np.subtract(t, x, out=x), out=x), out=x)
+    if t[-1] == xs[-1]:
+        out[np.searchsorted(t, xs[-1]):] = ys[-1]
+    return out
+
+
 def frozen_arrays(*columns: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     """Read-only numpy copies of table columns, for array arguments."""
     out = tuple(np.array(c, dtype=float) for c in columns)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -163,11 +164,14 @@ class _RevenueKernel:
     """One player's :func:`_revenue_surface` over an ascending grid ``xs`` of
     own shares, and its slope in the own share, against any rival share.
 
-    Built once per maximizer.  The grid is kept in reverse, so that ``1 -
-    own`` ascends, and the factor that only the own share moves is computed
-    once: ``quantile(1 - own)`` for the incumbent, ``g(own)`` for the
-    entrant.  A scan works on the feasible part of the grid alone, where
-    ``1 - own - other >= 0``.  There that argument ascends, so its quantile
+    Built once per maximizer, over a ``grid`` triple from :func:`_scan_grid`
+    (or :func:`_grid_of`): ``xs``, its reverse ``own``, and ``rest = 1 -
+    own``, which ascends.  The factor that only the own share moves is
+    computed once per kernel: ``quantile(1 - own)`` for the incumbent, from
+    ``rest``, and ``g(own)`` for the entrant, read by placing the curve's
+    nodes among ``xs`` (``QoSModel._sorted_values``) and reversed.  A scan
+    works on the feasible part of the grid alone, where ``1 - own - other
+    >= 0``.  There that argument ascends, so its quantile
     places the density's nodes among the arguments
     (``ValuationDistribution._sorted_quantile``), and the revenue is formed
     in place.  Each element sees the scalar probe's operations in its
@@ -175,11 +179,11 @@ class _RevenueKernel:
     """
 
     def __init__(self, dist: ValuationDistribution, qos2: QoSModel, q1: float | None,
-                 xs: np.ndarray) -> None:
+                 grid: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
         self._dist, self._qos2, self._q1 = dist, qos2, q1
-        self._own = xs[::-1].copy()
-        self._rest = 1.0 - self._own
-        self._column = qos2.evaluate(self._own) if q1 is None else dist._sorted_quantile(self._rest)
+        xs, self._own, self._rest = grid
+        self._column = (qos2._sorted_values(xs)[::-1] if q1 is None
+                        else dist._sorted_quantile(self._rest))
 
     def scan(self, other: float) -> np.ndarray:
         """:func:`_revenue_surface` at every grid share, in grid order,
@@ -250,25 +254,57 @@ def best_response(game: CournotGame, player: int, lam_other: float) -> float:
     return _responder(game, player)(lam_other)
 
 
+def _grid_of(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The :class:`_RevenueKernel` grid triple of an ascending share array
+    ``xs``: ``xs``, its reverse ``own`` and ``1 - own``."""
+    own = xs[::-1].copy()
+    return xs, own, 1.0 - own
+
+
+@lru_cache(maxsize=8)
+def _span_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_grid_of` ``np.linspace(lo, hi, n)``, read-only, made once per span."""
+    grid = _grid_of(np.linspace(lo, hi, n))
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
+def _scan_grid(lo: float, hi: float,
+               kinks: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid triple of a scan on [lo, hi]: the span's shared
+    :func:`_span_grid`, joined by the ascending ``kinks`` inside (lo, hi).
+    Each kink is inserted at its place unless the grid already holds it,
+    which gives ``np.union1d`` without sorting again."""
+    grid = _span_grid(lo, hi, _SCAN)
+    if not kinks:
+        return grid
+    xs, kinks = grid[0], np.array(kinks)
+    at = np.searchsorted(xs, kinks)  # below len(xs): every kink is below hi = xs[-1]
+    new = xs[at] != kinks
+    return _grid_of(np.insert(xs, at[new], kinks[new]))
+
+
 def _maximizer(
     dist: ValuationDistribution, qos2: QoSModel, q1: float | None, lo: float, hi: float
 ) -> Callable[..., float]:
     """The share in [lo, hi] maximizing :func:`_revenue_surface` (the
     incumbent's when ``q1`` is given, else the entrant's), as a function of
-    the rival share.  The grid and its :class:`_RevenueKernel` are built
-    once, so a call pays for the feasible part of one scan against the
-    rival, in place, and for the scalar slopes of its refinement, each one
-    quantile-with-density search (two for the incumbent) plus, for the
-    entrant, one search of its curve.  The entrant's slope jumps at its
-    curve's nodes, so its grid holds the nodes inside (lo, hi) too; the
-    incumbent's slope has no jumps.  Given a ``start`` share, a call first
-    tries one uphill step of ``width`` from it (:func:`step_peak`) and
-    scans only if that step does not bracket a maximum."""
-    xs = np.linspace(lo, hi, _SCAN)
+    the rival share.  Its :class:`_RevenueKernel` is built once, so a call
+    pays for the feasible part of one scan against the rival, in place, and
+    for the scalar slopes of its refinement, each one quantile-with-density
+    search (two for the incumbent) plus, for the entrant, one search of its
+    curve.  The grid comes from :func:`_scan_grid`: the 2,001 points of the
+    span are made once per span and shared read-only by every maximizer on
+    it.  The entrant's slope jumps at its curve's nodes, so its grid holds
+    the nodes inside (lo, hi) too; the incumbent's slope has no jumps.
+    Given a ``start`` share, a call first tries one uphill step of
+    ``width`` from it (:func:`step_peak`) and scans only if that step does
+    not bracket a maximum."""
     kinks = () if q1 is not None else tuple(x for x in qos2.nodes if lo < x < hi)
-    if kinks:
-        xs = np.union1d(xs, kinks)
-    kernel = _RevenueKernel(dist, qos2, q1, xs)
+    grid = _scan_grid(lo, hi, kinks)
+    xs = grid[0]
+    kernel = _RevenueKernel(dist, qos2, q1, grid)
 
     def maximize(other: float, start: float | None = None, width: float = 0.0) -> float:
         slope = kernel.slope(other)

@@ -183,6 +183,14 @@ class QoSModel:
             return self._q[i] + s * (v - x[i]), s
         return self._q[-1], self._slope[-1]  # the top of the span
 
+    def _sorted_values(self, lam: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate` of a nonempty ascending 1-D array of shares, bit
+        for bit, placing the curve's nodes among the shares
+        (:func:`_table.sorted_values`); the span is checked at the two ends."""
+        if not (lam[0] >= self._x[0] and lam[-1] <= self._x[-1]):
+            raise self._outside(lam)
+        return _table.sorted_values(self._x, self._q, self._slope, lam)
+
     def _checked(self, lam) -> np.ndarray:
         """An array of shares as floats; DomainError unless all lie in the span."""
         a = np.asarray(lam, dtype=float)

@@ -5,7 +5,8 @@ technologies, an optional incumbent, posted prices, and dynamics
 settings.  Relative file references (tabulated densities or QoS curves)
 resolve against the scenario file's directory.  Problems raise
 :class:`ScenarioError` naming the file and the offending key; a key the
-format does not know (a typo such as ``"incumbant"``) is one of them.
+format does not know (a typo such as ``"incumbant"``) is one of them, as
+is a technology name used twice or the stay-out option's ``"not-enter"``.
 Only ``metadata`` is free-form.  A section's ``kind`` names a row of its
 table in ``_KINDS``: the constructor and the keys it takes.
 
@@ -174,6 +175,18 @@ def _parse_dynamics(spec, base: Path, where: str) -> DynamicsSpec:
     return DynamicsSpec(variant=variant, lambda0=lambda0, max_iter=max_iter, tol=tol)
 
 
+def _check_name(name: str, earlier: list[Technology], where: str) -> None:
+    """An entry technology's name must differ from the earlier ones, which
+    ``--technology`` could not tell apart, and from the stay-out option's,
+    which ``select`` adds to every choice."""
+    for j, tech in enumerate(earlier):
+        if tech.name == name:
+            raise ScenarioError(f"{where}: duplicate technology name {name!r} "
+                                f"(also technologies[{j}].name)")
+    if name == Technology.stay_out().name:
+        raise ScenarioError(f"{where}: {name!r} is reserved for the stay-out option")
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file."""
     path = Path(path)
@@ -198,9 +211,11 @@ def load_scenario(path) -> Scenario:
             if not isinstance(t, dict):
                 raise ScenarioError(f"{where}: expected an object")
             _only(t, where, "name", "qos", "cost")
+            name = _text(_need(t, "name", where), f"{where}.name")
+            _check_name(name, techs, f"{where}.name")
             techs.append(
                 Technology(
-                    name=_text(_need(t, "name", where), f"{where}.name"),
+                    name=name,
                     qos=_parse_kind(_need(t, "qos", where), "QoS", base, f"{where}.qos"),
                     cost_per_period=_number(t.get("cost", 0.0), f"{where}.cost"),
                 )

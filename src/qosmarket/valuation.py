@@ -204,13 +204,20 @@ class ValuationDistribution:
 
         Instead of searching every ``u`` among the cdf nodes, it places each
         interior node among the ``u`` and repeats each segment's constants
-        over the run of ``u`` it holds.  Only a leading run can be 0 and
-        only a trailing run 1; those take the conventional ends.
+        over the run of ``u`` it holds; when all of ``u`` lies on one
+        segment, that segment's constants serve as scalars.  Only a leading
+        run can be 0 and only a trailing run 1; those take the conventional
+        ends.
         """
         if not (u[0] >= 0.0 and u[-1] <= 1.0):
             raise DomainError(f"probability outside [0, 1]: {u!r}")
-        ends = np.searchsorted(u, self._cum_bounds)
-        out = self._invert(u, np.repeat(self._entries, ends[1:] - ends[:-1], axis=1))
+        i = _table.one_segment(self._cum, u)
+        if i is not None:
+            rows = self._entries[:, i]
+        else:
+            ends = np.searchsorted(u, self._cum_bounds)
+            rows = np.repeat(self._entries, ends[1:] - ends[:-1], axis=1)
+        out = self._invert(u, rows)
         if u[0] == 0.0:
             zeros = np.searchsorted(u, 0.0, side="right")
             out[:zeros] = self._beta * u[:zeros]
@@ -222,12 +229,18 @@ class ValuationDistribution:
     def _invert(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The quadratic inverse of :meth:`quantile` at probabilities ``u``
         inside their segments, given each one's :attr:`_entries` column in
-        ``rows``.  Works in place in ``rows``, one pass per operation, with
-        the operations of the scalar path in its order."""
+        ``rows`` (or one column, for ``u`` on one segment).  Works in at most
+        two arrays of its own, one pass per operation, with the operations
+        of the scalar path in its order."""
         cum_j, f_j, f_sq, two_s, step2, x_j, x_lo, x_hi = rows
-        r = np.abs(np.subtract(u, cum_j, out=cum_j), out=cum_j)
-        w = np.subtract(f_sq, np.multiply(two_s, r, out=two_s), out=two_s)
-        w = np.add(f_j, np.sqrt(np.maximum(w, 0.0, out=w), out=w), out=w)
+        r = np.subtract(u, cum_j)
+        r = np.abs(r, out=r)
+        if np.ndim(two_s) == 0 and two_s == 0.0:  # one flat segment: f + sqrt(f^2 - 0 * r)
+            w = f_j + math.sqrt(f_sq)
+        else:
+            w = np.multiply(two_s, r)
+            w = np.subtract(f_sq, w, out=w)
+            w = np.add(f_j, np.sqrt(np.maximum(w, 0.0, out=w), out=w), out=w)
         d = np.divide(np.multiply(step2, r, out=r), w, out=r)  # (+-2r) / w = +-(2r / w)
         return np.minimum(np.maximum(np.add(x_j, d, out=d), x_lo, out=d), x_hi, out=d)
 
@@ -238,12 +251,14 @@ class ValuationDistribution:
         node it enters from, ``2|slope|``, twice the direction of the walk
         (-2 from the right node, +2 from the left; ``x - d`` and ``x + -1 *
         d`` round alike), the position of that node, and the segment's two
-        ends."""
-        x, f, cum, slope = self._arrays
+        ends.  Built from the node tuples: one array of their positions,
+        densities and cdf values, and one pick of the entered nodes."""
+        nodes = np.array((self._x, self._f, self._cum))
+        slope = np.array(self._slope)
         up = slope > 0.0
-        j = np.arange(slope.size) + up
-        table = np.array([cum[j], f[j], f[j] * f[j], 2.0 * np.abs(slope), np.where(up, -2.0, 2.0),
-                          x[j], x[:-1], x[1:]])
+        x_j, f_j, cum_j = np.where(up, nodes[:, 1:], nodes[:, :-1])
+        table = np.array([cum_j, f_j, f_j * f_j, 2.0 * np.abs(slope), np.where(up, -2.0, 2.0),
+                          x_j, nodes[0, :-1], nodes[0, 1:]])
         table.flags.writeable = False
         return table
 
@@ -251,7 +266,9 @@ class ValuationDistribution:
     def _cum_bounds(self) -> np.ndarray:
         """The interior cdf nodes between -inf and inf: where each segment's
         run starts and ends in a sorted array of probabilities."""
-        return np.concatenate(([-math.inf], self._arrays[2][1:-1], [math.inf]))
+        bounds = np.array(self._cum)
+        bounds[0], bounds[-1] = -math.inf, math.inf
+        return bounds
 
     # -- derived constants ----------------------------------------------
 

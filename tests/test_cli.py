@@ -331,6 +331,25 @@ class TestErrorPaths:
         assert f"{key}: expected a string" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["analyze", "compete", "select"])
+    @pytest.mark.parametrize("second, key", [("e", "technologies[1].name"),
+                                             ("not-enter", "technologies[1].name")])
+    def test_clashing_technology_names_are_configuration_errors(self, command, second, key,
+                                                                 tmp_path, capsys):
+        payload = {
+            "distribution": {"kind": "uniform", "beta": 1.0},
+            "technologies": [{"name": "e", "qos": {"kind": "linear", "q_bar": 1.6, "c": 0.1}},
+                             {"name": second, "qos": {"kind": "constant", "q": 1.5}}],
+            "incumbent": {"q1": 1.7},
+        }
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_scenario_without_dynamics(self, tmp_path, capsys):
         payload = {
             "distribution": {"kind": "uniform", "beta": 1.0},

@@ -14,6 +14,7 @@ from qosmarket._optim import scan_then_bisect
 from qosmarket.competition import (
     DEFAULT_STARTS,
     _cross_partials,
+    _grid_of,
     _responder,
     _RevenueKernel,
     _revenue_surface,
@@ -440,7 +441,7 @@ class TestNashRobustness:
 
 def revenue_slope(dist, qos2, own: float, other: float, q1) -> float:
     """The revenue kernel's slope in the own share at one point."""
-    return _RevenueKernel(dist, qos2, q1, np.array([own])).slope(other)(own)
+    return _RevenueKernel(dist, qos2, q1, _grid_of(np.array([own]))).slope(other)(own)
 
 
 def seeded_custom_game(seed: int) -> qm.CournotGame:
@@ -463,7 +464,7 @@ def rebuilt_response(game: qm.CournotGame, player: int, other: float) -> float:
     hi = 0.5 if player == 1 else min(0.5, game.qos2.domain[1])
     kinks = () if player == 1 else tuple(x for x in game.qos2.nodes if 0.0 < x < hi)
     xs = np.union1d(np.linspace(0.0, hi, competition._SCAN), kinks)
-    kernel = _RevenueKernel(game.dist, game.qos2, q1, xs)
+    kernel = _RevenueKernel(game.dist, game.qos2, q1, _grid_of(xs))
 
     def surface(lam):
         return _revenue_surface(game.dist, game.qos2, lam, other, q1)
@@ -491,7 +492,7 @@ class TestOncePerSolveScan:
             game = seeded_custom_game(seed)
             for q1 in (game.q1, None):
                 for other in (0.0, 0.3, 0.7):  # 0.7: past the market's end
-                    surface = _RevenueKernel(game.dist, game.qos2, q1, own).scan(other)
+                    surface = _RevenueKernel(game.dist, game.qos2, q1, _grid_of(own)).scan(other)
                     probes = [_revenue_surface(game.dist, game.qos2, float(o), other, q1) for o in own]
                     assert np.array(probes).tobytes() == surface.tobytes()
 
@@ -508,6 +509,47 @@ class TestOncePerSolveScan:
         assert (out.iterations, scanned) == (13, 5)
         assert len(sizes) == 2 * scanned + 3 == 13
         assert set(sizes) == {competition._SCAN}
+
+
+class TestSharedGrid:
+    """The scan grid of a span is made once and shared; kinks join a copy."""
+
+    def test_maximizers_on_one_span_share_read_only_arrays(self, monkeypatch, triangle, uniform1,
+                                                           split_qos):
+        grids = []
+
+        class Recording(_RevenueKernel):
+            def __init__(self, dist, qos2, q1, grid):
+                grids.append(grid)
+                super().__init__(dist, qos2, q1, grid)
+
+        monkeypatch.setattr(competition, "_RevenueKernel", Recording)
+        qm.optimize(triangle, split_qos)
+        qm.optimize(uniform1, qm.QoSModel.constant(1.2))
+        _responder(qm.CournotGame(triangle, 1.687, split_qos), 1)
+        assert len(grids) == 3
+        for grid in grids[1:]:
+            assert all(a is b for a, b in zip(grid, grids[0]))
+        xs, own, rest = grids[0]
+        assert xs.tobytes() == np.linspace(0.0, 0.5, competition._SCAN).tobytes()
+        assert own.tobytes() == xs[::-1].tobytes()
+        assert rest.tobytes() == (1.0 - xs[::-1]).tobytes()
+        for arr in grids[0]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_kinked_grid_is_the_union_with_the_kinks(self):
+        lin = np.linspace(0.0, 0.5, competition._SCAN)
+        kinks = (1e-7, 0.1001, 0.25, 0.30011, 0.30012, 0.5 - 1e-9)
+        assert 0.25 in lin  # one kink is a grid point already
+        xs, own, rest = competition._scan_grid(0.0, 0.5, kinks)
+        assert xs.tobytes() == np.union1d(lin, kinks).tobytes()
+        assert xs.size == competition._SCAN + len(kinks) - 1
+        assert own.tobytes() == xs[::-1].tobytes()
+        assert rest.tobytes() == (1.0 - xs[::-1]).tobytes()
+        # the shared grid is untouched
+        assert competition._scan_grid(0.0, 0.5, ())[0].tobytes() == lin.tobytes()
 
 
 def array_quantile_sizes(monkeypatch) -> list[int]:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qosmarket as qm
+from qosmarket import _table
 from qosmarket.qos import (
     average_throughput,
     load_qos_samples,
@@ -87,6 +90,69 @@ class TestEvaluate:
     def test_max_value(self):
         assert qm.QoSModel.linear(1.7, 0.2).max_value() == 1.7
         assert qm.QoSModel.tabulated([0.1, 0.9], [1.4, 1.2]).max_value() == 1.4
+
+
+@st.composite
+def curves(draw):
+    """A tabulated curve of 2-12 nodes on [0, 1] or a subinterval of it."""
+    lo = draw(st.sampled_from([0.0, 0.1]))
+    hi = draw(st.sampled_from([1.0, 0.7]))
+    inner = draw(st.lists(st.floats(0.001, 0.999), max_size=10))
+    x = np.unique(np.concatenate([[lo, hi], lo + (hi - lo) * np.array(inner)]))
+    drops = sorted(draw(st.lists(st.floats(0.0, 0.5), min_size=len(x), max_size=len(x))))
+    return qm.QoSModel.tabulated(x, [1.5 * (1.0 - d) for d in drops])
+
+
+class TestSortedValues:
+    """The node-placing column path equals :meth:`QoSModel.evaluate` bit for bit."""
+
+    @staticmethod
+    def check(g, t):
+        want = g.evaluate(t).tobytes()
+        assert _table.sorted_values(g._x, g._q, g._slope, t).tobytes() == want
+        assert g._sorted_values(t).tobytes() == want
+
+    @settings(max_examples=100)
+    @given(curves(), st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_many_runs(self, g, fractions):
+        x = np.array(g.nodes)
+        lo, hi = g.domain
+        ends = [np.nextafter(lo, 2.0), np.nextafter(hi, -1.0)]
+        t = np.sort(np.concatenate([x, ends, lo + (hi - lo) * np.array(fractions)]))
+        self.check(g, np.clip(t, lo, hi))
+
+    @settings(max_examples=100)
+    @given(curves())
+    def test_one_run_per_segment(self, g):
+        x = np.array(g.nodes)
+        for i, (a, b) in enumerate(zip(x, x[1:])):
+            t = np.unique([a, np.nextafter(a, 2.0), 0.5 * (a + b), np.nextafter(b, -1.0)])
+            t = t[t < b]
+            if i == x.size - 2:
+                t = np.append(t, b)  # the top node belongs to the last segment
+            assert _table.one_segment(g.nodes, t) == i
+            self.check(g, t)
+            if i < x.size - 2:  # an interior node starts the next segment
+                assert _table.one_segment(g.nodes, np.array([a, b])) is None
+
+    def test_interior_nodes_come_back_exactly(self):
+        # the left segment's expression misses the node at 0.41 by an ulp
+        g = qm.QoSModel.tabulated([0.0, 0.37, 0.41, 1.0], [1.5, 1.38, 0.9, 0.7])
+        assert g._q[1] + g._slope[1] * (0.41 - 0.37) != 0.9
+        assert g._sorted_values(np.array([0.38, 0.41]))[-1] == 0.9
+        assert g._sorted_values(np.array(g.nodes)).tolist() == [1.5, 1.38, 0.9, 0.7]
+
+    @settings(max_examples=50)
+    @given(curves())
+    def test_same_error_outside_the_span(self, g):
+        lo, hi = g.domain
+        for bad in (np.nextafter(lo, -1.0), np.nextafter(hi, 2.0)):
+            t = np.sort([lo, 0.5 * (lo + hi), hi, bad])
+            with pytest.raises(qm.DomainError) as want:
+                g.evaluate(t)
+            with pytest.raises(qm.DomainError) as got:
+                g._sorted_values(t)
+            assert str(got.value) == str(want.value)
 
 
 class TestDerivative:

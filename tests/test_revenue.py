@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import qosmarket as qm
 from qosmarket import _optim
 from qosmarket._optim import itp_root, scan_then_bisect, step_peak
-from qosmarket.competition import _RevenueKernel, _revenue_surface
+from qosmarket.competition import _RevenueKernel, _grid_of, _revenue_surface
 from qosmarket.revenue import revenue_at_price
 from test_acceptance import random_nonincreasing_density
 from test_competition import revenue_slope
@@ -308,7 +308,7 @@ def revenue_curve(dist, qos, shares):
     """Rows of ``(share, price, revenue)`` along the marginal-user curve; the
     revenue is the entrant's against an empty rival."""
     price = dist.quantile(1.0 - shares) * qos.evaluate(shares)
-    revenue = _RevenueKernel(dist, qos, None, shares).scan(0.0)
+    revenue = _RevenueKernel(dist, qos, None, _grid_of(shares)).scan(0.0)
     return np.column_stack([shares, price, revenue])
 
 
@@ -462,7 +462,7 @@ class TestKinkMaximum:
     def test_root_search_alone_lands_within_1e15_of_the_node(self, uniform1):
         qos = qm.QoSModel.tabulated(*self.KINKED)
         xs = np.linspace(0.0, 0.5, 2_001)
-        kernel = _RevenueKernel(uniform1, qos, None, xs)
+        kernel = _RevenueKernel(uniform1, qos, None, _grid_of(xs))
         x = scan_then_bisect(lambda lam: _revenue_surface(uniform1, qos, lam, 0.0, None),
                              kernel.slope(0.0), xs, kernel.scan(0.0))
         assert x != 0.29917

@@ -194,6 +194,17 @@ class TestDiagnostics:
             load_scenario(p)
         assert str(p) in str(exc.value)
 
+    @pytest.mark.parametrize("names, where, what", [
+        (["e", "f", "e"], "technologies[2].name", "duplicate technology name 'e' (also technologies[0].name)"),
+        (["e", "not-enter"], "technologies[1].name", "'not-enter' is reserved for the stay-out option"),
+    ])
+    def test_technology_names_are_distinct_and_not_reserved(self, tmp_path, names, where, what):
+        techs = [{"name": n, "qos": {"kind": "constant", "q": 1.0}} for n in names]
+        p = write(tmp_path, {**BASE, "technologies": techs})
+        with pytest.raises(qm.ScenarioError) as exc:
+            load_scenario(p)
+        assert str(exc.value) == f"{p}: {where}: {what}"
+
 
 class TestUnknownKeys:
     @pytest.mark.parametrize("payload, where, key", [

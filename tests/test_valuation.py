@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qosmarket as qm
+from qosmarket import _table
 from qosmarket.valuation import load_pdf_samples, save_pdf_samples
 
 TOL = 1e-9
@@ -340,6 +341,38 @@ class TestQuantileProperties:
         assert d._sorted_quantile(ordered).tobytes() == d.quantile(ordered).tobytes()
         for v, a in zip(u.tolist(), scalars.tolist()):
             assert d._quantile_density(v) == (a, d.pdf(a))
+
+    @settings(max_examples=100)
+    @given(densities())
+    @example((qm.ValuationDistribution.from_samples([0.0, 0.25, 0.75, 1.0], [1.25, 1.0, 1.0, 0.75]),
+              None))  # a flat segment between falling ones
+    def test_sorted_path_on_one_segment(self, dist_nodes):
+        d, _ = dist_nodes
+        cum = np.array(d._cum)
+        for i, (a, b) in enumerate(zip(cum, cum[1:])):
+            u = np.unique([a, np.nextafter(a, 2.0), 0.5 * (a + b), np.nextafter(b, -1.0)])
+            u = u[u < b]
+            if i == cum.size - 2:
+                u = np.append(u, b)  # 1 belongs to the last segment
+            assert _table.one_segment(d._cum, u) == i
+            assert d._sorted_quantile(u).tobytes() == d.quantile(u).tobytes()
+            if i < cum.size - 2:  # an interior node starts the next segment
+                assert _table.one_segment(d._cum, np.array([a, b])) is None
+
+    @settings(max_examples=100)
+    @given(densities())
+    def test_tables_match_the_node_arrays(self, dist_nodes):
+        # reference: the same tables gathered from the frozen node arrays
+        d, _ = dist_nodes
+        x, f, cum, slope = _table.frozen_arrays(d._x, d._f, d._cum, d._slope)
+        up = slope > 0.0
+        j = np.arange(slope.size) + up
+        entries = np.array([cum[j], f[j], f[j] * f[j], 2.0 * np.abs(slope), np.where(up, -2.0, 2.0),
+                            x[j], x[:-1], x[1:]])
+        assert d._entries.tobytes() == entries.tobytes()
+        assert d._entries.shape == entries.shape and not d._entries.flags.writeable
+        bounds = np.concatenate(([-math.inf], cum[1:-1], [math.inf]))
+        assert d._cum_bounds.tobytes() == bounds.tobytes()
 
     @settings(max_examples=100)
     @given(
