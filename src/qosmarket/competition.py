@@ -273,16 +273,10 @@ def _span_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray, np
 def _scan_grid(lo: float, hi: float,
                kinks: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The grid triple of a scan on [lo, hi]: the span's shared
-    :func:`_span_grid`, joined by the ascending ``kinks`` inside (lo, hi).
-    Each kink is inserted at its place unless the grid already holds it,
-    which gives ``np.union1d`` without sorting again."""
+    :func:`_span_grid`, or for ``kinks`` inside (lo, hi) a fresh triple of
+    its union with them."""
     grid = _span_grid(lo, hi, _SCAN)
-    if not kinks:
-        return grid
-    xs, kinks = grid[0], np.array(kinks)
-    at = np.searchsorted(xs, kinks)  # below len(xs): every kink is below hi = xs[-1]
-    new = xs[at] != kinks
-    return _grid_of(np.insert(xs, at[new], kinks[new]))
+    return _grid_of(np.union1d(grid[0], kinks)) if kinks else grid
 
 
 def _maximizer(

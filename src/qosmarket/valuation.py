@@ -229,18 +229,15 @@ class ValuationDistribution:
     def _invert(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The quadratic inverse of :meth:`quantile` at probabilities ``u``
         inside their segments, given each one's :attr:`_entries` column in
-        ``rows`` (or one column, for ``u`` on one segment).  Works in at most
-        two arrays of its own, one pass per operation, with the operations
-        of the scalar path in its order."""
+        ``rows`` (or one column, for ``u`` on one segment).  Works in place
+        in the rows of gathered columns, else in two arrays of its own, one
+        pass per operation, with the operations of the scalar path in its
+        order."""
         cum_j, f_j, f_sq, two_s, step2, x_j, x_lo, x_hi = rows
-        r = np.subtract(u, cum_j)
-        r = np.abs(r, out=r)
-        if np.ndim(two_s) == 0 and two_s == 0.0:  # one flat segment: f + sqrt(f^2 - 0 * r)
-            w = f_j + math.sqrt(f_sq)
-        else:
-            w = np.multiply(two_s, r)
-            w = np.subtract(f_sq, w, out=w)
-            w = np.add(f_j, np.sqrt(np.maximum(w, 0.0, out=w), out=w), out=w)
+        r, w = (cum_j, two_s) if rows.ndim == 2 else np.empty((2, u.size))
+        r = np.abs(np.subtract(u, cum_j, out=r), out=r)
+        w = np.subtract(f_sq, np.multiply(two_s, r, out=w), out=w)
+        w = np.add(f_j, np.sqrt(np.maximum(w, 0.0, out=w), out=w), out=w)
         d = np.divide(np.multiply(step2, r, out=r), w, out=r)  # (+-2r) / w = +-(2r / w)
         return np.minimum(np.maximum(np.add(x_j, d, out=d), x_lo, out=d), x_hi, out=d)
 
@@ -251,14 +248,12 @@ class ValuationDistribution:
         node it enters from, ``2|slope|``, twice the direction of the walk
         (-2 from the right node, +2 from the left; ``x - d`` and ``x + -1 *
         d`` round alike), the position of that node, and the segment's two
-        ends.  Built from the node tuples: one array of their positions,
-        densities and cdf values, and one pick of the entered nodes."""
-        nodes = np.array((self._x, self._f, self._cum))
-        slope = np.array(self._slope)
+        ends."""
+        x, f, cum, slope = self._arrays
         up = slope > 0.0
-        x_j, f_j, cum_j = np.where(up, nodes[:, 1:], nodes[:, :-1])
-        table = np.array([cum_j, f_j, f_j * f_j, 2.0 * np.abs(slope), np.where(up, -2.0, 2.0),
-                          x_j, nodes[0, :-1], nodes[0, 1:]])
+        j = np.arange(slope.size) + up
+        table = np.array([cum[j], f[j], f[j] * f[j], 2.0 * np.abs(slope), np.where(up, -2.0, 2.0),
+                          x[j], x[:-1], x[1:]])
         table.flags.writeable = False
         return table
 
@@ -266,9 +261,7 @@ class ValuationDistribution:
     def _cum_bounds(self) -> np.ndarray:
         """The interior cdf nodes between -inf and inf: where each segment's
         run starts and ends in a sorted array of probabilities."""
-        bounds = np.array(self._cum)
-        bounds[0], bounds[-1] = -math.inf, math.inf
-        return bounds
+        return np.concatenate(([-math.inf], self._arrays[2][1:-1], [math.inf]))
 
     # -- derived constants ----------------------------------------------
 
