@@ -331,17 +331,24 @@ def _responder(game: CournotGame, player: int) -> Callable[..., float]:
                           _span(game, player))
 
     def respond(lam_other: float, start: float | None = None, width: float = 0.0) -> float:
-        other = float(lam_other)
-        if not math.isfinite(other) or not 0.0 <= other < 1.0:
-            raise DomainError(f"rival share outside [0, 1): {lam_other!r}")
+        other = _check_rival(lam_other)
         if player == 1 and other > qos2.domain[1]:
             raise DomainError(f"rival share {lam_other!r} beyond the entrant curve's span "
                               f"{list(qos2.domain)}")
         best = maximize(other, start, width)
-        assert 0.0 < best <= 0.5, f"best response {best} escaped (0, 1/2]"
+        if not 0.0 < best <= 0.5:
+            raise ModelError(f"player {player}'s best response {best!r} escaped (0, 1/2]")
         return best
 
     return respond
+
+
+def _check_rival(lam_other: float) -> float:
+    """``lam_other`` as a float once it is a rival share in [0, 1)."""
+    other = float(lam_other)
+    if not math.isfinite(other) or not 0.0 <= other < 1.0:
+        raise DomainError(f"rival share outside [0, 1): {lam_other!r}")
+    return other
 
 
 def best_response_closed(
@@ -349,31 +356,37 @@ def best_response_closed(
 ) -> float:
     """Exact best responses for uniform valuations and a linear entrant curve.
 
-    Requires ``0 < c < q_bar2 < q1``.  Incumbent:
+    Requires ``0 <= c < q_bar2 < q1``.  Incumbent:
 
         B1(lam2) = (q1 - lam2 * (q_bar2 - c * lam2)) / (2 q1)
 
-    Entrant, writing ``w = 1 - lam1``:
+    Entrant, writing ``w = 1 - lam1`` and
+    ``s = sqrt(q_bar2^2 + c^2 w^2 - c q_bar2 w)``:
 
-        B2(lam1) = (c w + q_bar2 - sqrt(q_bar2^2 + c^2 w^2 - c q_bar2 w)) / (3 c)
+        B2(lam1) = (c w + q_bar2 - s) / (3 c) = w q_bar2 / (c w + q_bar2 + s),
+
+    evaluated in the second, conjugate form, which loses no digits as c
+    shrinks and gives the constant curve's ``w / 2`` at c = 0.
     """
-    q1 = float(q1)
-    q_bar2 = float(q_bar2)
-    c = float(c)
-    if not (0.0 < c < q_bar2 < q1) or not all(
-        map(math.isfinite, (q1, q_bar2, c))
-    ):
-        raise ModelError(f"need 0 < c < q_bar2 < q1, got c={c}, q_bar2={q_bar2}, q1={q1}")
+    qos2 = QoSModel.linear(q_bar2, c)
+    q1 = _check_incumbent(q1, qos2, "entrant")
     if player not in (1, 2):
         raise DomainError(f"player must be 1 or 2, got {player!r}")
-    other = float(lam_other)
-    if not math.isfinite(other) or not 0.0 <= other < 1.0:
-        raise DomainError(f"rival share outside [0, 1): {lam_other!r}")
-    if player == 1:
-        return (q1 - other * (q_bar2 - c * other)) / (2.0 * q1)
-    w = 1.0 - other
+    return _closed_pair(q1, qos2.q_bar, qos2.c)[player - 1](_check_rival(lam_other))
+
+
+def _closed_pair(q1: float, q_bar2: float, c: float):
+    """:func:`best_response_closed`'s B1 and B2, unvalidated, as functions
+    of the rival share."""
+    return (lambda lam2: (q1 - lam2 * (q_bar2 - c * lam2)) / (2.0 * q1),
+            lambda lam1: _entrant_closed(q_bar2, c, 1.0 - lam1))
+
+
+def _entrant_closed(q_bar2: float, c: float, w: float) -> float:
+    """:func:`best_response_closed`'s B2 in its conjugate form, unvalidated:
+    ``w`` is the market the incumbent leaves (1 at an empty rival)."""
     s = math.sqrt(q_bar2 * q_bar2 + c * c * w * w - c * q_bar2 * w)
-    return (c * w + q_bar2 - s) / (3.0 * c)
+    return w * q_bar2 / (c * w + q_bar2 + s)
 
 
 def supermodularity_check(game: CournotGame) -> SupermodularityReport:
@@ -444,17 +457,6 @@ def _samples(segments, hi: float, rate) -> tuple[np.ndarray, np.ndarray, np.ndar
     return t, y, slope[piece]
 
 
-def _closed_pair(game: CournotGame):
-    """Closed-form best-response functions, or None where there are none."""
-    if game.dist.is_uniform() and game.qos2.is_affine() and game.qos2.c > 0.0:
-        q1, qb, c = game.q1, game.qos2.q_bar, game.qos2.c
-        return (
-            lambda lam2: best_response_closed(q1, qb, c, 1, lam2),
-            lambda lam1: best_response_closed(q1, qb, c, 2, lam1),
-        )
-    return None
-
-
 def _lead(own: float, own_prev: float, rival: float, rival_prev: float, rival_prev2: float,
           cell: float) -> tuple[float, float]:
     """Start and step width of a stepped best response to the share
@@ -493,11 +495,10 @@ def nash_solve(
     maximum.  If a stepped round converges to a point that fails
     verification, the solve goes on with scanned rounds for the rest of
     its budget; a scanned round's failure raises.  Rounds use the closed
-    forms instead where they exist (uniform valuations, a congested affine
-    entrant curve).  Raises
-    NonConvergenceError (carrying the visited path, and naming the last
-    round's largest move) if the round budget runs out, and DomainError
-    unless ``max_rounds >= 1`` and ``tol > 0``.
+    forms instead where they exist (uniform valuations, an affine entrant
+    curve).  Raises NonConvergenceError (carrying the visited path, and
+    naming the last round's largest move) if the round budget runs out,
+    and DomainError unless ``max_rounds >= 1`` and ``tol > 0``.
     The supermodularity certificate that makes the iteration reliable
     belongs to the game: ``supermodularity_check(game)``.
     """
@@ -514,7 +515,9 @@ def nash_solve(
     if not game.dist.is_nonincreasing_pdf():
         raise ModelError("equilibrium guarantees need a non-increasing density")
     resp1, resp2 = _responder(game, 1), _responder(game, 2)
-    closed = _closed_pair(game)
+    qos2 = game.qos2
+    closed = (_closed_pair(game.q1, qos2.q_bar, qos2.c)
+              if game.dist.is_uniform() and qos2.is_affine() else None)
     br1, br2 = closed or (resp1, resp2)
     cell1, cell2 = (_span(game, player) / (_SCAN - 1) for player in (1, 2))
     may_step, stepping = closed is None, False

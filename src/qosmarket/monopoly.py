@@ -316,7 +316,8 @@ def _threshold(market: MonopolyMarket, target: float) -> float:
     That map rises strictly from 0 at ``a = 0`` to ``beta * g(0)`` at beta
     (``a`` rises while ``g(1 - F(a))`` does not fall), so the answer is 0
     for targets up to 0, beta for targets from ``beta * g(0)`` on, and
-    otherwise the one root, which :func:`itp_root` places to 1e-15.
+    otherwise the one root.  :func:`itp_root` places it as ``beta * t``
+    for ``t`` on the unit interval, to 1e-15 of beta whatever beta's scale.
     """
     if target <= 0.0:
         return 0.0
@@ -325,8 +326,8 @@ def _threshold(market: MonopolyMarket, target: float) -> float:
     top = beta * qos.evaluate(0.0)
     if target >= top:
         return beta
-    return itp_root(lambda a: a * qos.evaluate(1.0 - dist.cdf(a)) - target, 0.0, beta,
-                    flo=-target, fhi=top - target)
+    return beta * itp_root(lambda t: beta * t * qos.evaluate(1.0 - dist.cdf(beta * t)) - target,
+                           0.0, 1.0, flo=-target, fhi=top - target)
 
 
 def equilibrium_closed_form(
@@ -338,10 +339,10 @@ def equilibrium_closed_form(
 
         lam* = (q_bar + c - sqrt((q_bar - c)^2 + 4 c p / beta)) / (2 c)
 
-    for prices up to ``beta * q_bar`` and 0 above; with c = 0 it reduces
-    to ``max(0, 1 - p / (beta * q_bar))``.  It is evaluated as
+    for prices up to ``beta * q_bar`` and 0 above.  It is evaluated as
     ``2 (q_bar - p / beta) / (q_bar + c + sqrt(...))``, the same root
-    without the cancellation that loses every digit as c shrinks.
+    without the cancellation that loses every digit as c shrinks, and
+    exact down to c = 0.
     """
     if not dist.is_uniform():
         raise ModelError("closed form requires uniform valuations")
@@ -351,8 +352,6 @@ def equilibrium_closed_form(
     beta = dist.beta
     q_bar = qos.q_bar
     c = qos.c
-    if c == 0.0:
-        return max(0.0, 1.0 - p / (beta * q_bar))
     if p > beta * q_bar:
         return 0.0
     disc = (q_bar - c) ** 2 + 4.0 * c * p / beta

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .competition import _maximizer
+from .competition import _entrant_closed, _maximizer
 from .errors import ModelError
 from .monopoly import MonopolyMarket, _decay_ratio_max, equilibrium
 from .qos import QoSModel
@@ -104,25 +104,21 @@ def optimize(dist: ValuationDistribution, qos: QoSModel) -> RevenueOptimum:
 def optimum_closed_form(beta: float, q_bar: float, c: float) -> RevenueOptimum:
     """Exact optimum for uniform valuations and a linear quality curve.
 
-    With ``s = sqrt(q_bar^2 + c^2 - c q_bar)``:
+    The optimal share is the entrant's best response to an empty rival
+    (:func:`best_response_closed` at ``w = 1``); with
+    ``s = sqrt(q_bar^2 + c^2 - c q_bar)``:
 
-        alpha* = beta (2c - q_bar + s) / (3c)
-        lam*   = (c + q_bar - s) / (3c)
+        lam*   = (c + q_bar - s) / (3c) = q_bar / (c + q_bar + s)
+        alpha* = beta (1 - lam*)
 
-    and ``c = 0`` reduces to the textbook half-market split
-    ``(beta/2, 1/2)``.
+    evaluated in the conjugate form, which loses no digits as c shrinks;
+    ``c = 0`` gives the textbook half-market split ``(beta/2, 1/2)``.
     """
     beta = ValuationDistribution.uniform(beta).beta
     qos = QoSModel.linear(q_bar, c)
-    q_bar, c = qos.q_bar, qos.c
-    if c == 0.0:
-        alpha = beta / 2.0
-        share = 0.5
-    else:
-        s = math.sqrt(q_bar * q_bar + c * c - c * q_bar)
-        alpha = beta * (2.0 * c - q_bar + s) / (3.0 * c)
-        share = (c + q_bar - s) / (3.0 * c)
-    price = alpha * (q_bar - c * share)
+    share = _entrant_closed(qos.q_bar, qos.c, 1.0)
+    alpha = beta * (1.0 - share)
+    price = alpha * (qos.q_bar - qos.c * share)
     return RevenueOptimum(
         price=price, marginal_valuation=alpha, share=share, revenue=price * share
     )

@@ -386,6 +386,28 @@ class TestErrorPaths:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["compete", "select"])
+    def test_escaped_best_response_is_a_model_error(self, command, tmp_path):
+        # at beta = 1e-200 the squared density overflows, every quantile reads 0
+        # and so does every entrant revenue
+        payload = json.loads(Path(DUO).read_text())
+        payload["distribution"]["beta"] = 1e-200
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(payload))
+        src = str(Path(qosmarket.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qosmarket", command, str(path), "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "error: player 2's best response 0.0 escaped (0, 1/2]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("out/*.csv"))
+
 
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, tmp_path, capsys):

@@ -150,8 +150,7 @@ class TestBestResponse:
             qm.best_response(game, 3, 0.2)
         with pytest.raises(qm.DomainError):
             qm.best_response(game, 1, 1.5)
-        with pytest.raises(qm.ModelError):
-            qm.best_response_closed(2.0, 1.0, 0.0, 1, 0.2)  # needs real congestion
+        assert qm.best_response_closed(2.0, 1.0, 0.0, 2, 0.2) == 0.4  # the constant curve's limit
         with pytest.raises(qm.ModelError):
             qm.best_response_closed(1.0, 1.0, 0.5, 1, 0.2)  # no quality gap
         a = np.linspace(0.0, 1.0, 51)
@@ -429,6 +428,15 @@ class TestNashRobustness:
                 qm.nash_solve(game, max_rounds=60)
             except qm.NonConvergenceError as exc:
                 pytest.fail(f"game {k}: {exc}")
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-300, 5e-324])
+    def test_converges_as_congestion_vanishes(self, uniform1, c):
+        # at these slopes the textbook entrant response (c w + q_bar - s) / (3c)
+        # cancels every digit, so the closed rounds need its conjugate form
+        flat = qm.nash_solve(qm.CournotGame(uniform1, 1.687, qm.QoSModel.linear(1.633, 0.0)))
+        out = qm.nash_solve(qm.CournotGame(uniform1, 1.687, qm.QoSModel.linear(1.633, c)))
+        assert out.lam1 == pytest.approx(flat.lam1, abs=1e-12)
+        assert out.lam2 == pytest.approx(flat.lam2, abs=1e-12)
 
     def test_best_response_is_a_stationary_point(self, triangle):
         game = qm.CournotGame(triangle, 1.0, qm.QoSModel.constant(0.5))

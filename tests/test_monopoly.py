@@ -409,6 +409,20 @@ class TestSwitchingBand:
             assert 0.0 <= lo <= hi <= dist.beta
             assert lo - 1e-12 <= a0 <= hi + 1e-12
 
+    @pytest.mark.parametrize("beta", [1e-150, 1e-50, 1e-10, 1e-6, 1e-3, 1e3, 1e50, 1e150])
+    def test_answers_do_not_depend_on_the_valuation_scale(self, beta, split_qos):
+        # shares are scale-free and thresholds scale with beta, so each root
+        # must be placed to a width relative to beta, not an absolute one
+        a = np.linspace(0.0, 1.0, 11)
+        for density in (qm.ValuationDistribution.uniform,
+                        lambda b: qm.ValuationDistribution.from_samples(b * a, 2.0 * (1.0 - a) / b)):
+            answers = []
+            for b in (1.0, beta):
+                m = market(density(b), split_qos, 0.5 * b)
+                (lo, hi), = qm.switching_cost_equilibrium_band(m, 0.01 * b)
+                answers.append((qm.equilibrium(m), lo / b, hi / b))
+            assert answers[1] == pytest.approx(answers[0], abs=1e-15)
+
     def test_curve_must_span_the_unit_interval(self, uniform1, monkeypatch):
         def no_evaluation(self, lam):
             raise AssertionError("curve evaluated")
