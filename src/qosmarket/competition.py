@@ -148,8 +148,8 @@ def _revenue_surface(dist: ValuationDistribution, qos2: QoSModel, own: float, ot
     """Own revenue at scalar own and rival shares: the incumbent's when ``q1``
     is given, else the entrant's (against an empty rival, the monopoly
     revenue); zero where the shares exceed the market.  The scalar probe of
-    the maximizers; :meth:`_RevenueKernel.scan` gives the same values over a
-    grid."""
+    the maximizers, which pass the unit table; :meth:`_RevenueKernel.scan`
+    gives the same values over a grid."""
     rest = 1.0 - own - other
     if not rest >= 0.0:
         return 0.0
@@ -288,16 +288,17 @@ def _maximizer(
     pays for the feasible part of one scan against the rival, in place, and
     for the scalar slopes of its refinement, each one quantile-with-density
     search (two for the incumbent) plus, for the entrant, one search of its
-    curve.  The grid comes from :func:`_scan_grid`: the 2,001 points of the
-    span are made once per span and shared read-only by every maximizer on
-    it.  The entrant's slope jumps at its curve's nodes, so its grid holds
-    the nodes inside (lo, hi) too; the incumbent's slope has no jumps.
+    curve, all on ``dist``'s unit table.  The grid comes from
+    :func:`_scan_grid`: the 2,001 points of the span are made once per span
+    and shared read-only by every maximizer on it.  The entrant's slope
+    jumps at its curve's nodes, so its grid holds the nodes inside (lo, hi)
+    too; the incumbent's slope has no jumps.
     Given a ``start`` share, a call first tries one uphill step of
     ``width`` from it (:func:`step_peak`) and scans only if that step does
     not bracket a maximum."""
     kinks = () if q1 is not None else tuple(x for x in qos2.nodes if lo < x < hi)
     grid = _scan_grid(lo, hi, kinks)
-    xs = grid[0]
+    xs, dist = grid[0], dist._unit
     kernel = _RevenueKernel(dist, qos2, q1, grid)
 
     def maximize(other: float, start: float | None = None, width: float = 0.0) -> float:
@@ -399,21 +400,21 @@ def supermodularity_check(game: CournotGame) -> SupermodularityReport:
         entrant    -(g + lam2 g') Q'(w) + lam2 g Q''(w)
 
     Slopes jump only at table nodes: g' at the curve's (in lam2), f' at the
-    density's (in ``a2 = Q(w)``).  So both are evaluated on a (lam2, a2)
-    product of samples taken piece by piece, each piece end to end with its
-    own slope: lam2 within the curve's span up to 1/2, at most 1/200 apart;
-    a2 over the support, at most beta/200 apart and 1/200 of the market
-    between neighbours.  Points with ``lam1`` outside [0, 1/2] are left
-    out, as are those where the density vanishes at ``Q(w)`` or ``Q(1 -
-    lam1)`` (the ``lam1 = 0`` edge of a density that reaches 0 at beta).
-    The margin is ``-max(cross-partials)`` at the worst point, reported as
-    ``(lam1, lam2)``, the first of equal margins in lam2-major order.  For
-    uniform valuations both cross-partials are ``-beta * (g + lam2 g')``.
+    density's (in ``a2 = Q(w)``).  So both are evaluated, on the unit
+    market, on a (lam2, a2) product of samples taken piece by piece, each
+    piece end to end with its own slope: lam2 within the curve's span up
+    to 1/2, at most 1/200 apart; a2 over [0, 1], at most 1/200 apart and
+    1/200 of the market between neighbours.  Points with ``lam1`` outside
+    [0, 1/2] are left out, as are those where the density vanishes at
+    ``Q(w)`` or ``Q(1 - lam1)`` (the ``lam1 = 0`` edge of a density that
+    reaches 0 at beta).  The margin is beta times the unit market's
+    ``-max(cross-partials)`` at the worst point, reported as ``(lam1,
+    lam2)``, the first of equal margins in lam2-major order.  For uniform
+    valuations both cross-partials are ``-beta * (g + lam2 g')``.
     """
-    dist, qos = game.dist, game.qos2
+    dist, qos = game.dist._unit, game.qos2
     lam2, g, dg = _samples(qos.segments(), min(0.5, qos.domain[1]), lambda g0, g1: 1.0)
-    a2, f2, df2 = _samples(dist.segments(), dist.beta,
-                           lambda f0, f1: np.maximum(1.0 / dist.beta, np.maximum(f0, f1)))
+    a2, f2, df2 = _samples(dist.segments(), 1.0, lambda f0, f1: np.maximum(1.0, np.maximum(f0, f1)))
     a2, f2, df2 = (v[f2 > 0.0] for v in (a2, f2, df2))
     lam1 = 1.0 - lam2[:, None] - dist.cdf(a2)
     i, j = np.nonzero((lam1 >= 0.0) & (lam1 <= 0.5))  # lam2-major
@@ -422,7 +423,7 @@ def supermodularity_check(game: CournotGame) -> SupermodularityReport:
     k = int(np.nanargmin(margin))
     worst = float(margin[k])
     return SupermodularityReport(holds=worst >= 0.0, worst_point=(float(lam1[k]), float(lam2[k])),
-                                 worst_margin=worst)
+                                 worst_margin=game.dist.beta * worst)
 
 
 def _cross_partials(dist: ValuationDistribution, lam1, lam2, g, dg, a2, f2, df2):

@@ -301,7 +301,7 @@ def equilibrium(market: MonopolyMarket) -> float:
     spans [0, 1].
     """
     _check_full_span(market.qos, "quality")
-    return 1.0 - market.dist.cdf(_threshold(market, market.price))
+    return 1.0 - market.dist._unit.cdf(_threshold(market, market.price))
 
 
 def _check_full_span(qos: QoSModel, curve: str) -> None:
@@ -311,23 +311,21 @@ def _check_full_span(qos: QoSModel, curve: str) -> None:
 
 
 def _threshold(market: MonopolyMarket, target: float) -> float:
-    """The valuation ``a`` in [0, beta] with ``a * g(1 - F(a)) = target``.
-
-    That map rises strictly from 0 at ``a = 0`` to ``beta * g(0)`` at beta
-    (``a`` rises while ``g(1 - F(a))`` does not fall), so the answer is 0
-    for targets up to 0, beta for targets from ``beta * g(0)`` on, and
-    otherwise the one root.  :func:`itp_root` places it as ``beta * t``
-    for ``t`` on the unit interval, to 1e-15 of beta whatever beta's scale.
+    """The valuation ``a`` with ``a * g(1 - F(a)) = target``, as ``t = a /
+    beta`` in [0, 1]: on the unit market (cdf ``F1``), ``t * g(1 - F1(t)) =
+    target / beta``.  That map rises strictly from 0 to ``g(0)`` (``t``
+    rises while ``g(1 - F1(t))`` does not fall), so the answer is 0 for
+    targets up to 0, 1 from ``g(0)`` on, and otherwise the one root, which
+    :func:`itp_root` places to 1e-15.
     """
     if target <= 0.0:
         return 0.0
-    dist, qos = market.dist, market.qos
-    beta = dist.beta
-    top = beta * qos.evaluate(0.0)
-    if target >= top:
-        return beta
-    return beta * itp_root(lambda t: beta * t * qos.evaluate(1.0 - dist.cdf(beta * t)) - target,
-                           0.0, 1.0, flo=-target, fhi=top - target)
+    qos, cdf = market.qos, market.dist._unit.cdf
+    unit, top = target / market.dist.beta, qos.evaluate(0.0)
+    if unit >= top:
+        return 1.0
+    return itp_root(lambda t: t * qos.evaluate(1.0 - cdf(t)) - unit, 0.0, 1.0, flo=-unit,
+                    fhi=top - unit)
 
 
 def equilibrium_closed_form(
@@ -348,14 +346,12 @@ def equilibrium_closed_form(
         raise ModelError("closed form requires uniform valuations")
     if not qos.is_affine():
         raise ModelError("closed form requires an affine quality curve on [0, 1]")
-    p = MonopolyMarket(dist, qos, price).price
-    beta = dist.beta
-    q_bar = qos.q_bar
-    c = qos.c
-    if p > beta * q_bar:
+    p = MonopolyMarket(dist, qos, price).price / dist.beta  # the unit market's price
+    q_bar, c = qos.q_bar, qos.c
+    if p > q_bar:
         return 0.0
-    disc = (q_bar - c) ** 2 + 4.0 * c * p / beta
-    return max(0.0, 2.0 * (q_bar - p / beta) / (q_bar + c + math.sqrt(disc)))
+    disc = (q_bar - c) ** 2 + 4.0 * c * p
+    return max(0.0, 2.0 * (q_bar - p) / (q_bar + c + math.sqrt(disc)))
 
 
 # --------------------------------------------------------------------------
@@ -446,8 +442,8 @@ def switching_cost_equilibrium_band(
     """
     c_s = SwitchingCost(cost).cost
     _check_full_span(market.qos, "quality")
-    p = market.price
+    p, beta = market.price, market.dist.beta
     lo = _threshold(market, p - c_s)
     # the inverse is monotone: keep the two roots' 1e-15 noise from
     # crossing the ends of a narrower band
-    return [(lo, max(lo, _threshold(market, p + c_s)))]
+    return [(beta * lo, beta * max(lo, _threshold(market, p + c_s)))]

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .duopoly import _check_incumbent
 from .errors import MarketError, ScenarioError
 from .monopoly import (
     MonopolyVariant,
@@ -134,7 +135,7 @@ _KINDS = {
 
 
 def _parse_kind(spec, section: str, base: Path, where: str):
-    """Build the object that ``spec["kind"]`` names in ``section``'s table."""
+    """Build what ``spec["kind"]`` names in ``section``'s table; its errors name ``where``."""
     if not isinstance(spec, dict):
         raise ScenarioError(f"{where}: expected an object")
     kind = _need(spec, "kind", where)
@@ -143,11 +144,12 @@ def _parse_kind(spec, section: str, base: Path, where: str):
         raise ScenarioError(f"{where}.kind: unknown {section} kind {kind!r}")
     make, keys = kinds[kind]
     _only(spec, where, "kind", *keys)
-    return make(*(
-        base / _text(_need(spec, key, where), f"{where}.{key}") if key == "file"
-        else _number(_need(spec, key, where), f"{where}.{key}")
-        for key in keys
-    ))
+    args = [base / _text(_need(spec, key, where), f"{where}.{key}") if key == "file"
+            else _number(_need(spec, key, where), f"{where}.{key}") for key in keys]
+    try:
+        return make(*args)
+    except MarketError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _parse_dynamics(spec, base: Path, where: str) -> DynamicsSpec:
@@ -213,13 +215,11 @@ def load_scenario(path) -> Scenario:
             _only(t, where, "name", "qos", "cost")
             name = _text(_need(t, "name", where), f"{where}.name")
             _check_name(name, techs, f"{where}.name")
-            techs.append(
-                Technology(
-                    name=name,
-                    qos=_parse_kind(_need(t, "qos", where), "QoS", base, f"{where}.qos"),
-                    cost_per_period=_number(t.get("cost", 0.0), f"{where}.cost"),
-                )
-            )
+            qos = _parse_kind(_need(t, "qos", where), "QoS", base, f"{where}.qos")
+            cost = _number(t.get("cost", 0.0), f"{where}.cost")
+            if cost < 0.0:
+                raise ScenarioError(f"{where}.cost: must be >= 0, got {cost}")
+            techs.append(Technology(name=name, qos=qos, cost_per_period=cost))
         q1 = None
         if "incumbent" in raw:
             inc = raw["incumbent"]
@@ -227,6 +227,8 @@ def load_scenario(path) -> Scenario:
                 raise ScenarioError("incumbent: expected an object")
             _only(inc, "incumbent", "q1")
             q1 = _number(_need(inc, "q1", "incumbent"), "incumbent.q1")
+            for i, tech in enumerate(techs):  # as SelectionProblem does
+                _check_incumbent(q1, tech.qos, f"incumbent.q1: technologies[{i}].qos")
         p1 = p2 = None
         if "prices" in raw:
             prices = raw["prices"]

@@ -38,13 +38,15 @@ class ValuationDistribution:
     """Distribution of user valuations on ``[0, beta]``.
 
     Construct with :meth:`uniform`, :meth:`from_samples`, or
-    :meth:`from_csv`.  Every density is a piecewise-linear node table
-    (:meth:`uniform` builds two equal nodes at 0 and beta, and any table
-    whose nodes are all equal is uniform just the same); the cdf is the exact
-    integral of that interpolant, rescaled so it reaches exactly 1 at
-    ``beta``.  The raw sample integral must already be within 1e-9 of 1.
-    Density samples must be positive at interior nodes; the two endpoint
-    samples may be zero.  Instances are immutable.
+    :meth:`from_csv`.  The density is stored on the unit market, as a
+    piecewise-linear node table on [0, 1] (positions ``alpha / beta``,
+    densities ``pdf * beta``, slopes times ``beta**2``), with ``beta`` one
+    scale factor that only the public methods apply; the solvers work on
+    the unit table ``_unit``.  A table whose nodes are all equal is
+    uniform.  The cdf is the exact integral of the interpolant, rescaled to
+    reach exactly 1 at ``beta``; the raw sample integral must be within
+    1e-9 of 1.  Density samples must be positive at interior nodes; the two
+    endpoint samples may be zero.  Instances are immutable.
     """
 
     def __init__(self) -> None:
@@ -55,21 +57,23 @@ class ValuationDistribution:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def _from_nodes(cls, x, f, cum, slope) -> "ValuationDistribution":
-        """Instance over node tuples: positions, densities, cdf, slopes."""
+    def _from_nodes(cls, beta, x, f, cum, slope) -> "ValuationDistribution":
+        """Instance at scale ``beta`` over unit-market node tuples; ``_unit`` holds them at beta 1."""
         self = object.__new__(cls)
-        self._beta = x[-1]
+        self._beta = beta
         self._x, self._f, self._cum, self._slope = x, f, cum, slope
+        self._unit = self if beta == 1.0 else cls._from_nodes(1.0, x, f, cum, slope)
         return self
 
     @classmethod
     def uniform(cls, beta: float) -> "ValuationDistribution":
-        """Uniform density 1/beta on [0, beta]."""
+        """Uniform density 1/beta on [0, beta]: unit nodes (0, 1) and (1, 1)."""
         beta = float(beta)
         if not math.isfinite(beta) or beta <= 0.0:
             raise ModelError(f"beta must be positive and finite, got {beta}")
-        h = 1.0 / beta
-        return cls._from_nodes((0.0, beta), (h, h), (0.0, 1.0), (0.0,))
+        if not math.isfinite(1.0 / beta):
+            raise ModelError(f"beta={beta} is too small: 1/beta is not finite")
+        return cls._from_nodes(beta, (0.0, 1.0), (1.0, 1.0), (0.0, 1.0), (0.0,))
 
     @classmethod
     def from_samples(cls, alphas, densities) -> "ValuationDistribution":
@@ -81,22 +85,25 @@ class ValuationDistribution:
         x, f = _table.samples(alphas, densities, ("alphas", "densities"))
         if x[0] != 0.0:
             raise ModelError(f"first sample point must be alpha=0, got {x[0]}")
-        if x[-1] <= 0.0:
-            raise ModelError("support bound must be positive")
+        beta = float(x[-1])  # positive: the positions start at 0 and ascend
         if np.any(f < 0.0):
             raise ModelError("density samples must be nonnegative")
         if f.size > 2 and np.any(f[1:-1] <= 0.0):
             raise ModelError("density must be strictly positive at interior nodes")
-        total = float(np.sum(np.diff(x) * 0.5 * (f[:-1] + f[1:])))
+        x = x / beta
+        dx = np.diff(x)
+        if not dx.all():  # dividing keeps the order: a collision is a zero step
+            raise ModelError(f"alphas collide once divided by beta={beta}")
+        total = float(np.sum(dx * 0.5 * (f[:-1] + f[1:]))) * beta
         if abs(total - 1.0) > _INTEGRAL_TOL:
             raise ModelError(
                 f"density integrates to {total:.12g}, expected 1 within {_INTEGRAL_TOL}"
             )
-        f = f / total
-        cum = np.concatenate(([0.0], np.cumsum(np.diff(x) * 0.5 * (f[:-1] + f[1:]))))
+        f = f / total * beta
+        cum = np.concatenate(([0.0], np.cumsum(dx * 0.5 * (f[:-1] + f[1:]))))
         cum[-1] = 1.0
-        slope = np.diff(f) / np.diff(x)
-        return cls._from_nodes(*(tuple(a.tolist()) for a in (x, f, cum, slope)))
+        slope = np.diff(f) / dx
+        return cls._from_nodes(beta, *(tuple(a.tolist()) for a in (x, f, cum, slope)))
 
     @classmethod
     def from_csv(cls, path) -> "ValuationDistribution":
@@ -121,20 +128,22 @@ class ValuationDistribution:
     def segments(self):
         """``(alpha0, alpha1, f0, f1, slope)`` for each linear piece of the
         density, left to right."""
-        return zip(self._x, self._x[1:], self._f, self._f[1:], self._slope)
+        b, x, f = self._beta, self._x, self._f
+        return ((x0 * b, x1 * b, f0 / b, f1 / b, s / b / b)
+                for x0, x1, f0, f1, s in zip(x, x[1:], f, f[1:], self._slope))
 
     # -- density, cdf, quantile -----------------------------------------
 
     def pdf(self, alpha):
         """Density at ``alpha``; zero outside [0, beta]."""
         if isinstance(alpha, float) or np.ndim(alpha) == 0:
-            a = float(alpha)
-            if a < 0.0 or a > self._beta:
+            a = float(alpha) / self._beta
+            if a < 0.0 or a > 1.0:
                 return 0.0
-            return _table.value(self._x, self._f, self._slope, a)
-        a = np.asarray(alpha, dtype=float)
+            return _table.value(self._x, self._f, self._slope, a) / self._beta
+        a = np.asarray(alpha, dtype=float) / self._beta
         x, f, _, slope = self._arrays
-        return np.where((a < 0.0) | (a > self._beta), 0.0, _table.values(x, f, slope, a))
+        return np.where((a < 0.0) | (a > 1.0), 0.0, _table.values(x, f, slope, a)) / self._beta
 
     def cdf(self, alpha):
         """Probability that a valuation is at most ``alpha``; clamped to [0, 1].
@@ -143,20 +152,20 @@ class ValuationDistribution:
         quadratic could land a few ulp short.
         """
         if isinstance(alpha, float) or np.ndim(alpha) == 0:
-            a = float(alpha)
+            a = float(alpha) / self._beta
             if a <= 0.0:
                 return 0.0
-            if a >= self._beta:
+            if a >= 1.0:
                 return 1.0
             i = bisect_right(self._x, a, 1, len(self._slope)) - 1  # NaN: last segment
             d = a - self._x[i]
             return min(max(self._cum[i] + d * (self._f[i] + 0.5 * self._slope[i] * d), 0.0), 1.0)
-        a = np.clip(np.asarray(alpha, dtype=float), 0.0, self._beta)
+        a = np.clip(np.asarray(alpha, dtype=float) / self._beta, 0.0, 1.0)
         x, f, cum, slope = self._arrays
         i = _table.indices(x, a)
         d = a - x[i]
         out = np.clip(cum[i] + d * (f[i] + 0.5 * slope[i] * d), 0.0, 1.0)
-        return np.where(a >= self._beta, 1.0, out)
+        return np.where(a >= 1.0, 1.0, out)
 
     def quantile(self, u):
         """Inverse cdf; by convention quantile(0) = 0 and quantile(1) = beta.
@@ -169,22 +178,22 @@ class ValuationDistribution:
         Raises DomainError for probabilities outside [0, 1].
         """
         if isinstance(u, float) or np.ndim(u) == 0:
-            return self._quantile_density(u)[0]
+            return self._beta * self._quantile_density(u)[0]
         uu = np.asarray(u, dtype=float)
         if not np.all((uu >= 0.0) & (uu <= 1.0)):
             raise DomainError(f"probability outside [0, 1]: {u!r}")
         out = self._invert(uu, self._entries.take(_table.indices(self._arrays[2], uu), axis=1))
-        return np.where((uu == 0.0) | (uu == 1.0), self._beta * uu, out)
+        return self._beta * np.where((uu == 0.0) | (uu == 1.0), uu, out)
 
     def _quantile_density(self, u) -> tuple[float, float]:
-        """The scalar :meth:`quantile` at ``u`` and :meth:`pdf` there, from
-        one segment search.  At the right end of its segment the valuation
-        is the next node, where the density is that node's value."""
+        """Unit-only: the unit table's quantile at a scalar ``u`` and its
+        density there, from one segment search.  At the right end of its
+        segment the valuation is the next node, with that node's density."""
         v = float(u)
         if not 0.0 <= v <= 1.0:  # NaN fails too
             raise DomainError(f"probability outside [0, 1]: {u!r}")
         if v == 0.0 or v == 1.0:
-            return self._beta * v, self._f[0] if v == 0.0 else self._f[-1]
+            return v, self._f[0] if v == 0.0 else self._f[-1]
         cum, f, x, slope = self._cum, self._f, self._x, self._slope
         i = bisect_right(cum, v, 1, len(slope)) - 1
         s = slope[i]
@@ -200,7 +209,7 @@ class ValuationDistribution:
         return a, f[i + 1] if a == x[i + 1] else f[i] + s * (a - x[i])
 
     def _sorted_quantile(self, u: np.ndarray) -> np.ndarray:
-        """:meth:`quantile` of a nonempty ascending 1-D array within [0, 1].
+        """Unit-only: the unit quantile of a nonempty ascending 1-D array in [0, 1].
 
         Instead of searching every ``u`` among the cdf nodes, it places each
         interior node among the ``u`` and repeats each segment's constants
@@ -220,9 +229,9 @@ class ValuationDistribution:
         out = self._invert(u, rows)
         if u[0] == 0.0:
             zeros = np.searchsorted(u, 0.0, side="right")
-            out[:zeros] = self._beta * u[:zeros]
+            out[:zeros] = u[:zeros]
         if u[-1] == 1.0:
-            out[np.searchsorted(u, 1.0):] = self._beta
+            out[np.searchsorted(u, 1.0):] = 1.0
         return out
 
     @staticmethod
@@ -268,11 +277,9 @@ class ValuationDistribution:
     def k_constant(self) -> float:
         """max of alpha * pdf(alpha) on [0, beta]; exactly 1 for uniform.
 
-        On each segment ``alpha * pdf(alpha)`` is a quadratic, so the
-        maximum sits at a node or at the vertex of a falling segment.
+        Scale-free, so read off the unit table: on each segment ``t * f(t)``
+        is a quadratic, peaking at a node or at the vertex of a falling one.
         """
-        if self.is_uniform():
-            return 1.0
         best = max(x * f for x, f in zip(self._x, self._f))
         for x0, x1, f0, s in zip(self._x, self._x[1:], self._f, self._slope):
             # (x0 + d) * (f0 + s * d) peaks at d = -b / (2 s), b = f0 + s * x0
@@ -283,7 +290,7 @@ class ValuationDistribution:
 
     def max_density(self) -> float:
         """Largest density value on the support."""
-        return max(self._f)
+        return max(self._f) / self._beta
 
     def is_nonincreasing_pdf(self) -> bool:
         """True when the density never increases across its samples."""

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qosmarket
-from qosmarket import cli, selection
+from qosmarket import cli, competition, selection
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 MONO = str(SCENARIO_DIR / "split_monopoly.json")
@@ -387,25 +387,19 @@ class TestErrorPaths:
         assert "error:" in proc.stderr
 
     @pytest.mark.parametrize("command", ["compete", "select"])
-    def test_escaped_best_response_is_a_model_error(self, command, tmp_path):
-        # at beta = 1e-200 the squared density overflows, every quantile reads 0
-        # and so does every entrant revenue
-        payload = json.loads(Path(DUO).read_text())
-        payload["distribution"]["beta"] = 1e-200
-        path = tmp_path / "tiny.json"
-        path.write_text(json.dumps(payload))
-        src = str(Path(qosmarket.__file__).resolve().parent.parent)
-        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "qosmarket", command, str(path), "--out", str(tmp_path / "out")],
-            env={**os.environ, "PYTHONPATH": pythonpath},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 2
-        assert "error: player 2's best response 0.0 escaped (0, 1/2]" in proc.stderr
-        assert "Traceback" not in proc.stderr
+    def test_escaped_best_response_is_a_model_error(self, command, tmp_path, capsys, monkeypatch):
+        # an entrant maximizer that answers 0, outside every best response's range
+        maximizer = competition._maximizer
+
+        def escaping(dist, qos2, q1, lo, hi):
+            maximize = maximizer(dist, qos2, q1, lo, hi)
+            return maximize if q1 is not None else lambda other, start=None, width=0.0: 0.0
+
+        monkeypatch.setattr(competition, "_maximizer", escaping)
+        assert cli.main([command, DUO, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error: player 2's best response 0.0 escaped (0, 1/2]" in err
+        assert "Traceback" not in err
         assert not list(tmp_path.glob("out/*.csv"))
 
 

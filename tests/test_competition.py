@@ -472,10 +472,10 @@ def rebuilt_response(game: qm.CournotGame, player: int, other: float) -> float:
     hi = 0.5 if player == 1 else min(0.5, game.qos2.domain[1])
     kinks = () if player == 1 else tuple(x for x in game.qos2.nodes if 0.0 < x < hi)
     xs = np.union1d(np.linspace(0.0, hi, competition._SCAN), kinks)
-    kernel = _RevenueKernel(game.dist, game.qos2, q1, _grid_of(xs))
+    kernel = _RevenueKernel(game.dist._unit, game.qos2, q1, _grid_of(xs))
 
     def surface(lam):
-        return _revenue_surface(game.dist, game.qos2, lam, other, q1)
+        return _revenue_surface(game.dist._unit, game.qos2, lam, other, q1)
 
     return scan_then_bisect(surface, kernel.slope(other), xs, kernel.scan(other), kinks)
 
@@ -500,8 +500,9 @@ class TestOncePerSolveScan:
             game = seeded_custom_game(seed)
             for q1 in (game.q1, None):
                 for other in (0.0, 0.3, 0.7):  # 0.7: past the market's end
-                    surface = _RevenueKernel(game.dist, game.qos2, q1, _grid_of(own)).scan(other)
-                    probes = [_revenue_surface(game.dist, game.qos2, float(o), other, q1) for o in own]
+                    unit = game.dist._unit
+                    surface = _RevenueKernel(unit, game.qos2, q1, _grid_of(own)).scan(other)
+                    probes = [_revenue_surface(unit, game.qos2, float(o), other, q1) for o in own]
                     assert np.array(probes).tobytes() == surface.tobytes()
 
     def test_custom_solve_makes_two_array_quantiles_per_round(self, monkeypatch, triangle, split_qos):

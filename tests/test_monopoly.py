@@ -1,6 +1,9 @@
 """Single-provider adoption dynamics, equilibria, and stability conditions."""
 
+import functools
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qosmarket as qm
+from qosmarket import cli
 from qosmarket.monopoly import step, step_variant
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 TOL = 1e-9
 # curves that do not span [0, 1]: one starting late, one ending early
@@ -42,6 +48,43 @@ def full_span_curves(draw):
     inner = sorted(draw(st.sets(st.integers(1, 999), max_size=6)))
     drops = np.sort(draw(st.lists(st.floats(0.0, 0.9), min_size=len(inner) + 2, max_size=len(inner) + 2)))
     return qm.QoSModel.tabulated([0.0, *(k / 1000 for k in inner), 1.0], q_bar * (1.0 - drops))
+
+
+# valuation scales of the scale test: at powers of two every answer is
+# bitwise beta times the unit market's
+POWERS_OF_TWO = [2.0 ** k for k in (-1000, -500, -10, 10, 500, 1000)]
+DECIMAL_SCALES = [1e-300, 1e-155, 1e-150, 1e-50, 1e-10, 1e-6, 1e-3, 1e3, 1e50, 1e150, 1e200, 1e300]
+SCALE_CURVES = {"affine": (qm.QoSModel.linear(1.633, 0.088), 1.687),
+                "tabulated": (qm.QoSModel.tabulated([0.0, 0.2, 0.5, 1.0], [1.6, 1.5, 1.3, 1.0]), 1.7)}
+
+
+def scale_answers(density: str, curve: str, beta: float):
+    """Every answer on the uniform or triangle density at valuation scale
+    ``beta``, against a curve of ``SCALE_CURVES``: the shares, the rounds
+    and the certificate's verdict, its worst point, and the answers that
+    scale with beta."""
+    if density == "uniform":
+        dist = qm.ValuationDistribution.uniform(beta)
+    else:
+        a = np.linspace(0.0, 1.0, 11)
+        dist = qm.ValuationDistribution.from_samples(beta * a, 2.0 * (1.0 - a) / beta)
+    qos, q1 = SCALE_CURVES[curve]
+    opt = qm.optimize(dist, qos)
+    game = qm.CournotGame(dist, q1, qos)
+    nash = qm.nash_solve(game)
+    m = market(dist, qos, 0.5 * beta)
+    (lo, hi), = qm.switching_cost_equilibrium_band(m, 0.01 * beta)
+    cert = qm.supermodularity_check(game)
+    shares = (opt.share, qm.best_response(game, 1, 0.3), qm.best_response(game, 2, 0.3),
+              nash.lam1, nash.lam2, qm.equilibrium(m))
+    scaled = (opt.price, opt.revenue, opt.marginal_valuation, nash.p1, nash.p2, nash.r1, nash.r2,
+              lo, hi, cert.worst_margin)
+    return shares, (nash.iterations, cert.holds), cert.worst_point, scaled
+
+
+@functools.cache
+def unit_answers():
+    return {(d, c): scale_answers(d, c, 1.0) for d in ("uniform", "triangle") for c in SCALE_CURVES}
 
 
 def zero_cost_threshold(m):
@@ -409,19 +452,40 @@ class TestSwitchingBand:
             assert 0.0 <= lo <= hi <= dist.beta
             assert lo - 1e-12 <= a0 <= hi + 1e-12
 
-    @pytest.mark.parametrize("beta", [1e-150, 1e-50, 1e-10, 1e-6, 1e-3, 1e3, 1e50, 1e150])
-    def test_answers_do_not_depend_on_the_valuation_scale(self, beta, split_qos):
-        # shares are scale-free and thresholds scale with beta, so each root
-        # must be placed to a width relative to beta, not an absolute one
-        a = np.linspace(0.0, 1.0, 11)
-        for density in (qm.ValuationDistribution.uniform,
-                        lambda b: qm.ValuationDistribution.from_samples(b * a, 2.0 * (1.0 - a) / b)):
-            answers = []
-            for b in (1.0, beta):
-                m = market(density(b), split_qos, 0.5 * b)
-                (lo, hi), = qm.switching_cost_equilibrium_band(m, 0.01 * b)
-                answers.append((qm.equilibrium(m), lo / b, hi / b))
-            assert answers[1] == pytest.approx(answers[0], abs=1e-15)
+    @pytest.mark.parametrize("beta", [*POWERS_OF_TWO, *DECIMAL_SCALES, 1e-200, 1e308, 5e-324])
+    def test_answers_do_not_depend_on_the_valuation_scale(self, beta, tmp_path, capsys):
+        # the solvers work on the unit market: shares, rounds and verdicts
+        # do not depend on beta, and prices, revenues, thresholds and margins
+        # are beta times the unit answers
+        if beta in POWERS_OF_TWO or beta in DECIMAL_SCALES:
+            exact = beta in POWERS_OF_TWO
+            for (density, curve), (shares1, verdicts1, point1, scaled1) in unit_answers().items():
+                shares, verdicts, point, scaled = scale_answers(density, curve, beta)
+                assert verdicts == verdicts1
+                if exact or density == "uniform":
+                    assert shares == shares1
+                    assert point == point1
+                else:  # the worst point may move between tied samples
+                    assert shares == pytest.approx(shares1, rel=0.0, abs=2e-15)
+                if exact:
+                    assert scaled == tuple(beta * v for v in scaled1)
+                else:
+                    assert scaled == pytest.approx(tuple(beta * v for v in scaled1), rel=1e-14, abs=0.0)
+        # the CLI on a rescaled scenario, warnings being errors; a beta
+        # without a finite 1/beta is a named input error
+        if beta in (1e-300, 1e-200, 1e200, 1e300, 1e308, 5e-324):
+            payload = json.loads((SCENARIO_DIR / "split_duopoly.json").read_text())
+            payload["distribution"]["beta"] = beta
+            path = tmp_path / "scaled.json"
+            path.write_text(json.dumps(payload))
+            for command in ("analyze", "compete", "select"):
+                code = cli.main([command, str(path), "--out", str(tmp_path / "out")])
+                err = capsys.readouterr().err
+                if beta == 5e-324:
+                    assert (code, err) == (2, f"error: {path}: distribution: beta=5e-324 is too small: "
+                                              "1/beta is not finite\n")
+                else:
+                    assert (code, err) == (0, "")
 
     def test_curve_must_span_the_unit_interval(self, uniform1, monkeypatch):
         def no_evaluation(self, lam):

@@ -170,15 +170,28 @@ class TestDiagnostics:
             load_scenario(p2)
 
     def test_model_violations_become_scenario_errors(self, tmp_path):
-        p = write(tmp_path, {**BASE, "technologies": [
-            {"name": "t", "qos": {"kind": "linear", "q_bar": 1.0, "c": 2.0}}]})
-        with pytest.raises(qm.ScenarioError, match="c < q_bar"):
-            load_scenario(p)
-        p2 = write(tmp_path, {**BASE, "technologies": [
-            {"name": "t", "qos": {"kind": "constant", "q": 1.0}, "cost": -1}]},
-            "c.json")
-        with pytest.raises(qm.ScenarioError, match="cost_per_period"):
-            load_scenario(p2)
+        # a constructor's error names the file and the key it came from
+        cases = [
+            ({"technologies": [{"name": "t", "qos": {"kind": "linear", "q_bar": 1.0, "c": 2.0}}]},
+             "technologies[0].qos: need 0 <= c < q_bar, got c=2.0, q_bar=1.0"),
+            ({"technologies": [{"name": "t", "qos": {"kind": "constant", "q": 1.0}, "cost": -1}]},
+             "technologies[0].cost: must be >= 0, got -1.0"),
+            ({"distribution": {"kind": "uniform", "beta": -1}},
+             "distribution: beta must be positive and finite, got -1.0"),
+            ({"distribution": {"kind": "uniform", "beta": 5e-324}},
+             "distribution: beta=5e-324 is too small: 1/beta is not finite"),
+            ({"dynamics": {"variant": {"kind": "partial", "epsilon": 2}, "lambda0": 0.0}},
+             "dynamics.variant: epsilon must be in (0, 1], got 2.0"),
+            ({"technologies": [{"name": "t", "qos": {"kind": "constant", "q": 0.5}},
+                               {"name": "u", "qos": {"kind": "linear", "q_bar": 1.633, "c": 0.088}}],
+              "incumbent": {"q1": 1.0}},
+             "incumbent.q1: technologies[1].qos quality reaches 1.633, must stay below q1=1.0"),
+        ]
+        for change, message in cases:
+            p = write(tmp_path, {**BASE, **change})
+            with pytest.raises(qm.ScenarioError) as exc:
+                load_scenario(p)
+            assert str(exc.value) == f"{p}: {message}"
 
     def test_structure_checks(self, tmp_path):
         p = write(tmp_path, {**BASE, "technologies": []})

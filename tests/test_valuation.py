@@ -224,6 +224,11 @@ class TestFromSamplesValidation:
         with pytest.raises(qm.ModelError):
             qm.ValuationDistribution.from_samples([0.0, 0.5, 0.5], [1.0, 1.0, 1.0])
 
+    def test_positions_must_stay_apart_once_divided_by_beta(self):
+        # 5e-324 / 2 rounds to 0, onto the first node
+        with pytest.raises(qm.ModelError, match="alphas collide once divided by beta=2.0"):
+            qm.ValuationDistribution.from_samples([0.0, 5e-324, 2.0], [0.5, 0.5, 0.5])
+
     def test_density_nonnegative(self):
         with pytest.raises(qm.ModelError):
             qm.ValuationDistribution.from_samples([0.0, 0.5, 1.0], [1.0, -0.1, 1.0])
@@ -336,18 +341,21 @@ class TestQuantileProperties:
         scalars = np.array([d.quantile(float(v)) for v in u])
         assert scalars.tobytes() == d.quantile(u).tobytes()
         assert d.quantile(0.0) == 0.0 and d.quantile(1.0) == d.beta
-        # the revenue kernel's paths: sorted arrays, and each scalar with its density
+        # the revenue kernel's paths, on the unit table: sorted arrays, and
+        # each scalar with its density
+        unit = d._unit
         ordered = np.sort(u)
-        assert d._sorted_quantile(ordered).tobytes() == d.quantile(ordered).tobytes()
-        for v, a in zip(u.tolist(), scalars.tolist()):
-            assert d._quantile_density(v) == (a, d.pdf(a))
+        assert unit._sorted_quantile(ordered).tobytes() == unit.quantile(ordered).tobytes()
+        for v in u.tolist():
+            a = unit.quantile(v)
+            assert unit._quantile_density(v) == (a, unit.pdf(a))
 
     @settings(max_examples=100)
     @given(densities())
     @example((qm.ValuationDistribution.from_samples([0.0, 0.25, 0.75, 1.0], [1.25, 1.0, 1.0, 0.75]),
               None))  # a flat segment between falling ones
     def test_sorted_path_on_one_segment(self, dist_nodes):
-        d, _ = dist_nodes
+        d = dist_nodes[0]._unit
         cum = np.array(d._cum)
         for i, (a, b) in enumerate(zip(cum, cum[1:])):
             u = np.unique([a, np.nextafter(a, 2.0), 0.5 * (a + b), np.nextafter(b, -1.0)])
